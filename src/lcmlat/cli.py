@@ -171,7 +171,7 @@ def _cmd_graph(args) -> int:
         _emit(args, formats.ideal_to_json(ideal),
               formats.render_ideal_text(ideal).rstrip("\n"))
         return 0
-    report = graph_lattice_report(G, _field(args))
+    report = graph_lattice_report(G)
     pairs = report.pairs()
     obj = {
         "graph": formats.graph_to_json(G),
@@ -295,7 +295,6 @@ def build_parser() -> _Parser:
         sp.add_argument("file", nargs="?", help="graph JSON file, or - for stdin")
         sp.add_argument("--fixture", default=None,
                         help="named fixture (fig5, fig6, bipartite-cm)")
-        sp.add_argument("--char", type=int, default=None)
         sp.add_argument("--json", action="store_true")
     p_graph.set_defaults(func=_cmd_graph)
 

@@ -12,9 +12,11 @@ from .ideals import Monomial, MonomialIdeal
 from .lattice import (
     FiniteLattice,
     PropertyReport,
+    _bits,
     is_graded,
     open_interval_is_connected,
     property_report,
+    refine,
 )
 
 
@@ -76,16 +78,6 @@ class Graph:
             frontier = new & ~seen
             seen |= frontier
         return seen == (1 << self.n) - 1
-
-    def edge_mask(self, u: int, v: int) -> int:
-        return (1 << u) | (1 << v)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # -- families and fixtures -----------------------------------------------------
@@ -402,7 +394,7 @@ def check_graph_theorems(G: Graph):
     return report, violations
 
 
-def graph_lattice_report(G: Graph, field=None) -> GraphLatticeReport:
+def graph_lattice_report(G: Graph) -> GraphLatticeReport:
     """Pair every lattice-side verdict with its graph-side characterization;
     any disagreement raises TheoremViolation with the witness.
 
@@ -474,30 +466,12 @@ def _mask_connected(n: int, pairs, mask: int) -> bool:
     return seen == (1 << n) - 1
 
 
-def _refined_partition(G: Graph) -> list:
-    """Vertex classes from iterated neighbor-color refinement; canonical
-    labelings only permute within classes, ordered by class color."""
-    colors = {v: (G.degree(v),) for v in range(G.n)}
-    for _ in range(G.n):
-        table = {}
-        nxt = {}
-        for v in range(G.n):
-            key = (colors[v], tuple(sorted(colors[w] for w in _bits(G.adjacency[v]))))
-            nxt[v] = table.setdefault(key, key)
-        if len(set(nxt.values())) == len(set(colors.values())):
-            colors = nxt
-            break
-        colors = nxt
-    groups = {}
-    for v in range(G.n):
-        groups.setdefault(colors[v], []).append(v)
-    return [groups[c] for c in sorted(groups)]
-
-
 def canonical_form(G: Graph) -> tuple:
     """Canonical edge set under vertex relabeling, for isomorphism dedup.
-    Permutations run within refinement classes only."""
-    parts = _refined_partition(G)
+    Permutations run within colour-refinement classes only, taken in colour
+    order."""
+    colors = refine(G.adjacency, [G.degree(v) for v in range(G.n)])
+    parts = [[v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))]
     best = None
     for perm_parts in itertools.product(
         *[itertools.permutations(p) for p in parts]

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EmptyGeneratorSet, NotAtomic, UnitGenerator
-from .lattice import FiniteLattice, atoms, meet_irreducibles
+from .lattice import FiniteLattice, atoms, find_isomorphism, meet_irreducibles
 
 
 @dataclass(frozen=True)
@@ -251,46 +251,15 @@ def ideals_permutation_equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     onto that of ``b`` (both squarefree)."""
     if a.nvars != b.nvars or a.ngens != b.ngens:
         return False
-    if sorted(g.degree for g in a.gens) != sorted(g.degree for g in b.gens):
-        return False
-    sup_a = [frozenset(g.support()) for g in a.gens]
-    sup_b = [frozenset(g.support()) for g in b.gens]
+    sides = [0] * a.nvars + [1] * a.ngens
+    return find_isomorphism(_incidence(a), _incidence(b), sides, sides) is not None
 
-    def var_profile(supports, nvars):
-        prof = []
-        for v in range(nvars):
-            degs = sorted(len(s) for s in supports if v in s)
-            prof.append(tuple(degs))
-        return prof
 
-    pa = var_profile(sup_a, a.nvars)
-    pb = var_profile(sup_b, b.nvars)
-    if sorted(pa) != sorted(pb):
-        return False
-    candidates = [
-        [w for w in range(b.nvars) if pb[w] == pa[v]] for v in range(a.nvars)
-    ]
-    order = sorted(range(a.nvars), key=lambda v: len(candidates[v]))
-    image = [-1] * a.nvars
-    taken = [False] * b.nvars
-    target = frozenset(sup_b)
-
-    def full_check():
-        mapped = {frozenset(image[v] for v in s) for s in sup_a}
-        return mapped == target
-
-    def extend(k):
-        if k == a.nvars:
-            return full_check()
-        v = order[k]
-        for w in candidates[v]:
-            if not taken[w]:
-                image[v] = w
-                taken[w] = True
-                if extend(k + 1):
-                    return True
-                image[v] = -1
-                taken[w] = False
-        return False
-
-    return extend(0)
+def _incidence(ideal: MonomialIdeal) -> list:
+    """Out-neighbour bitmasks of the digraph with an edge from each variable
+    to each generator it divides; generator j is vertex nvars + j."""
+    out = [0] * (ideal.nvars + ideal.ngens)
+    for j, g in enumerate(ideal.gens):
+        for v in g.support():
+            out[v] |= 1 << (ideal.nvars + j)
+    return out

@@ -223,21 +223,6 @@ class FiniteLattice:
         return int(self.join[x, y])
 
     @cached_property
-    def leq_matrix(self) -> np.ndarray:
-        """Boolean (n, n) array with entry [i, j] iff i <= j."""
-        n = self.n
-        width = (n + 7) // 8
-        raw = b"".join(m.to_bytes(width, "little") for m in self.below)
-        cols = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
-            axis=1,
-            bitorder="little",
-        )[:, :n].astype(bool)
-        out = np.ascontiguousarray(cols.T)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def strict_below(self) -> tuple:
         return tuple(m & ~(1 << i) for i, m in enumerate(self.below))
 
@@ -260,11 +245,7 @@ class FiniteLattice:
 
     @cached_property
     def lower_cover_masks(self) -> tuple:
-        out = [0] * self.n
-        for i, m in enumerate(self.upper_cover_masks):
-            for j in _bits(m):
-                out[j] |= 1 << i
-        return tuple(out)
+        return tuple(_transpose(self.upper_cover_masks))
 
     @cached_property
     def cover_pairs(self) -> tuple:
@@ -288,9 +269,6 @@ class FiniteLattice:
     def interval_elements(self, lo: int, hi: int) -> list:
         """Elements strictly between lo and hi, ascending."""
         return list(_bits(self.strict_above[lo] & self.strict_below[hi]))
-
-    def label_of(self, x: int):
-        return None if self.labels is None else self.labels[x]
 
 
 # -- constructors -----------------------------------------------------------
@@ -720,102 +698,103 @@ def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
     return FiniteLattice.from_below_masks(below)
 
 
-def _cover_signatures(L: FiniteLattice) -> dict:
-    """Per-element invariant, refined over cover neighborhoods (1-WL style)."""
-    n = L.n
-    ups, downs = L.upper_cover_masks, L.lower_cover_masks
-    sig = {
-        i: (L.chain_ranks[i], _popcount(ups[i]), _popcount(downs[i]))
-        for i in range(n)
-    }
-    for _ in range(max(2, n.bit_length())):
-        classes = len(set(sig.values()))
-        relabel = {}
-        nxt = {}
-        for i in range(n):
-            key = (
-                sig[i],
-                tuple(sorted(sig[j] for j in _bits(ups[i]))),
-                tuple(sorted(sig[j] for j in _bits(downs[i]))),
-            )
-            nxt[i] = relabel.setdefault(key, len(relabel))
-        sig = nxt
-        if len(set(sig.values())) == classes:
-            break
-    return sig
+def _transpose(out) -> list:
+    """In-neighbour bitmasks of a digraph given by out-neighbour bitmasks."""
+    inn = [0] * len(out)
+    for v, m in enumerate(out):
+        for w in _bits(m):
+            inn[w] |= 1 << v
+    return inn
+
+
+def refine(out, colors) -> list:
+    """Stable colour refinement of a digraph given by out-neighbour bitmasks.
+
+    Each round recolours a vertex by its colour and the sorted colours of its
+    out- and of its in-neighbours.  A new colour is the rank of that key in
+    sorted order, not a first-seen number, so it does not depend on the
+    vertex order: colours are isomorphism-invariant, also across digraphs
+    refined together as one disjoint union.
+    """
+    nbrs = [(tuple(_bits(o)), tuple(_bits(i))) for o, i in zip(out, _transpose(out))]
+    classes = len(set(colors))
+    while True:
+        color = colors.__getitem__
+        keys = [
+            (c, tuple(sorted(map(color, o))), tuple(sorted(map(color, i))))
+            for c, (o, i) in zip(colors, nbrs)
+        ]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        colors = [rank[k] for k in keys]
+        # a round never merges classes, so an unchanged count means stable
+        if len(rank) == classes:
+            return colors
+        classes = len(rank)
+
+
+def find_isomorphism(out1, out2, colors1, colors2):
+    """A colour-preserving isomorphism between two loopless digraphs given
+    by out-neighbour bitmasks, as a list mapping each vertex of the first to
+    one of the second; None when there is none.
+
+    Joint colour refinement only narrows the candidates.  The answer comes
+    from an explicit-stack backtracking search that checks every assignment
+    against all out- and in-edges to the vertices already mapped.
+    """
+    n = len(out1)
+    if len(out2) != n:
+        return None
+    joint = refine(list(out1) + [m << n for m in out2], list(colors1) + list(colors2))
+    c1, c2 = joint[:n], joint[n:]
+    if sorted(c1) != sorted(c2):
+        return None
+    in1, in2 = _transpose(out1), _transpose(out2)
+    pool = {}
+    for w, c in enumerate(c2):
+        pool[c] = pool.get(c, 0) | 1 << w
+    order = sorted(range(n), key=lambda v: _popcount(pool[c1[v]]))
+    image = [0] * n
+    done = used = 0  # vertices mapped so far, on each side
+    frames = []  # per depth: [untried candidates, wanted out-image, wanted in-image]
+    k = 0
+    while 0 <= k < n:
+        v = order[k]
+        if k == len(frames):
+            want_out = want_in = 0
+            for u in _bits(out1[v] & done):
+                want_out |= 1 << image[u]
+            for u in _bits(in1[v] & done):
+                want_in |= 1 << image[u]
+            frames.append([pool[c1[v]] & ~used, want_out, want_in])
+        else:  # back from a dead end: release this depth's choice
+            done ^= 1 << v
+            used ^= 1 << image[v]
+        frame = frames[k]
+        cand, want_out, want_in = frame
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            if out2[w] & used == want_out and in2[w] & used == want_in:
+                break
+        else:
+            frames.pop()
+            k -= 1
+            continue
+        frame[0] = cand
+        image[v] = w
+        done |= 1 << v
+        used |= low
+        k += 1
+    return image if k == n else None
 
 
 def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice) -> bool:
-    """Order-isomorphism test: invariant pruning plus backtracking on the
-    cover digraph."""
-    if L1.n != L2.n:
-        return False
-    if sorted(map(_popcount, L1.below)) != sorted(map(_popcount, L2.below)):
-        return False
-    # signatures are canonical integers only within one lattice; recompute a
-    # joint refinement over the disjoint union so the ids are comparable
-    sig1, sig2 = _joint_signatures(L1, L2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    by_sig2 = {}
-    for j, s in enumerate(sig2):
-        by_sig2.setdefault(s, []).append(j)
-    order = sorted(range(L1.n), key=lambda i: len(by_sig2[sig1[i]]))
-    mapping = [-1] * L1.n
-    used = [False] * L2.n
-    ups1, downs1 = L1.upper_cover_masks, L1.lower_cover_masks
-    ups2, downs2 = L2.upper_cover_masks, L2.lower_cover_masks
-
-    def consistent(i, j):
-        for u in _bits(ups1[i]):
-            m = mapping[u]
-            if m >= 0 and not (ups2[j] >> m) & 1:
-                return False
-        for u in _bits(downs1[i]):
-            m = mapping[u]
-            if m >= 0 and not (downs2[j] >> m) & 1:
-                return False
-        return True
-
-    def extend(k):
-        if k == L1.n:
-            return True
-        i = order[k]
-        for j in by_sig2[sig1[i]]:
-            if not used[j] and consistent(i, j):
-                mapping[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return extend(0)
-
-
-def _joint_signatures(L1, L2):
-    n1, n2 = L1.n, L2.n
-    ups = list(L1.upper_cover_masks) + [m << n1 for m in L2.upper_cover_masks]
-    downs = list(L1.lower_cover_masks) + [m << n1 for m in L2.lower_cover_masks]
-    ranks = list(L1.chain_ranks) + list(L2.chain_ranks)
-    n = n1 + n2
-    sig = [(ranks[i], _popcount(ups[i]), _popcount(downs[i])) for i in range(n)]
-    for _ in range(max(2, n.bit_length())):
-        classes = len(set(sig))
-        relabel = {}
-        nxt = [0] * n
-        for i in range(n):
-            key = (
-                sig[i],
-                tuple(sorted(sig[j] for j in _bits(ups[i]))),
-                tuple(sorted(sig[j] for j in _bits(downs[i]))),
-            )
-            nxt[i] = relabel.setdefault(key, len(relabel))
-        sig = nxt
-        if len(set(sig)) == classes:
-            break
-    return sig[:n1], sig[n1:]
+    """Order isomorphism, as isomorphism of the cover digraphs coloured by
+    chain rank."""
+    return find_isomorphism(
+        L1.upper_cover_masks, L2.upper_cover_masks, L1.chain_ranks, L2.chain_ranks
+    ) is not None
 
 
 # -- meet-irreducible width ----------------------------------------------------

@@ -14,6 +14,7 @@ from .ideals import MonomialIdeal, Monomial, ideal_height, lcm_lattice
 from .lattice import (
     FiniteLattice,
     height,
+    is_boolean,
     is_coatomic,
     is_geometric,
     is_lower_semimodular,
@@ -181,20 +182,26 @@ class BooleanEquivalence:
         return all(vals) or not any(vals)
 
 
-def boolean_equivalence_report(
-    ideal: MonomialIdeal, field: FieldSpec | None = None
+def boolean_equivalence(
+    ideal: MonomialIdeal, L: FiniteLattice, table: BettiTable
 ) -> BooleanEquivalence:
     """The four equivalent faces of a Boolean LCM lattice, each computed by
-    its own route; disagreement is an implementation bug and raises."""
-    from .lattice import is_boolean
-
-    L = lcm_lattice(ideal)
-    rep = BooleanEquivalence(
+    its own route, from the ideal, its LCM lattice and its Betti table."""
+    return BooleanEquivalence(
         lattice_is_boolean=is_boolean(L)[0],
         unique_variable_power=unique_variable_power_criterion(ideal),
         taylor_minimal=taylor_is_minimal(ideal).is_minimal,
-        pd_equals_ngens=lattice_betti_table(L, field).pd == ideal.ngens,
+        pd_equals_ngens=table.pd == ideal.ngens,
     )
+
+
+def boolean_equivalence_report(
+    ideal: MonomialIdeal, field: FieldSpec | None = None
+) -> BooleanEquivalence:
+    """:func:`boolean_equivalence` of the ideal; disagreement is an
+    implementation bug and raises."""
+    L = lcm_lattice(ideal)
+    rep = boolean_equivalence(ideal, L, lattice_betti_table(L, field))
     if not rep.all_agree():
         raise EquivalenceViolation(f"{ideal}: {rep}")
     return rep

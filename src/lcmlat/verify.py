@@ -43,11 +43,16 @@ from .lattice import (
     is_graded,
     is_isomorphic,
     is_strongly_complemented,
+    lattice_from_covers,
     mi_width,
     product,
     property_report,
 )
-from .resolutions import lattice_betti_table, pd_vs_height_report
+from .resolutions import (
+    boolean_equivalence,
+    lattice_betti_table,
+    pd_vs_height_report,
+)
 from .taylor import taylor_betti
 
 #: Which lattice<->graph pairings each exhaustive case owns.
@@ -250,11 +255,17 @@ def _plain(obj):
 # -- fixture pools ----------------------------------------------------------------
 
 
+#: (q, r) of the subspace lattices S(q, r) in the fixture pool.
+_SUBSPACE_PARAMS = ((2, 2), (3, 2), (5, 2), (2, 3))
+
+
 def fixture_lattices() -> dict:
-    """The constructed lattices every pool-based case draws from."""
+    """The constructed lattices every pool-based case, and the test suite,
+    draws from."""
     pool = {
-        "one-point": cons.mn_lattice(1),
-        "chain2": cons.mn_lattice(1),
+        "one-point": _chain(1),
+        "chain2": _chain(2),
+        "chain3": _chain(3),
         "B2": edge_ideal_lattice(star(3)),
         "B3": edge_ideal_lattice(star(4)),
         "fano": cons.fano_lattice(),
@@ -264,32 +275,29 @@ def fixture_lattices() -> dict:
         "L(C4)": edge_ideal_lattice(cycle(4)),
         "L(C5)": edge_ideal_lattice(cycle(5)),
         "L(K4)": edge_ideal_lattice(complete(4)),
+        "L(St5)": edge_ideal_lattice(star(5)),
         "L(fig5)": edge_ideal_lattice(graph_fixture("fig5")),
         "L(fig6)": edge_ideal_lattice(graph_fixture("fig6")),
         "L(bipartite-cm)": edge_ideal_lattice(graph_fixture("bipartite-cm")),
     }
-    pool["chain3"] = _chain(3)
     for n in range(3, 9):
         pool[f"M{n}"] = cons.mn_lattice(n)
-    for q, r in ((2, 2), (3, 2), (5, 2), (2, 3)):
+    for q, r in _SUBSPACE_PARAMS:
         pool[f"S({q},{r})"] = cons.subspace_lattice(q, r)
     return pool
 
 
 def _chain(n: int) -> FiniteLattice:
-    from .lattice import lattice_from_covers
-
     return lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def modular_fixture_lattices() -> dict:
-    out = {}
-    for n in range(3, 9):
-        out[f"M{n}"] = cons.mn_lattice(n)
-    for q, r in ((2, 2), (3, 2), (5, 2), (2, 3)):
-        out[f"S({q},{r})"] = cons.subspace_lattice(q, r)
-    out["M3 x M4"] = product(cons.mn_lattice(3), cons.mn_lattice(4))
-    out["M3 x S(2,3)"] = product(cons.mn_lattice(3), cons.subspace_lattice(2, 3))
+    pool = fixture_lattices()
+    names = [f"M{n}" for n in range(3, 9)]
+    names += [f"S({q},{r})" for q, r in _SUBSPACE_PARAMS]
+    out = {name: pool[name] for name in names}
+    out["M3 x M4"] = product(pool["M3"], pool["M4"])
+    out["M3 x S(2,3)"] = product(pool["M3"], pool["S(2,3)"])
     return out
 
 
@@ -357,13 +365,6 @@ def _run_pd_height_bound(case: TheoremCase) -> VerificationResult:
 
 
 def _run_boolean_equivalence(case: TheoremCase) -> VerificationResult:
-    from .lattice import is_boolean
-    from .resolutions import (
-        BooleanEquivalence,
-        taylor_is_minimal,
-        unique_variable_power_criterion,
-    )
-
     rng = random.Random(case.seed)
     count = case.count or 500
     res = VerificationResult(case.id, count)
@@ -371,12 +372,7 @@ def _run_boolean_equivalence(case: TheoremCase) -> VerificationResult:
         ideal = random_ideal(rng, 6, 6, 4)
         L = lcm_lattice(ideal)
         table = lattice_betti_table(L, case.field)
-        four = BooleanEquivalence(
-            lattice_is_boolean=is_boolean(L)[0],
-            unique_variable_power=unique_variable_power_criterion(ideal),
-            taylor_minimal=taylor_is_minimal(ideal).is_minimal,
-            pd_equals_ngens=table.pd == ideal.ngens,
-        )
+        four = boolean_equivalence(ideal, L, table)
         if not four.all_agree():
             res.counterexamples.append(_ideal_ce(f"seeded#{k}", ideal, str(four)))
         res.counterexamples.extend(_bound_violations(f"seeded#{k}", ideal, table, L))

@@ -2,41 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from lcmlat.constructions import (
-    fano_lattice,
-    graphic_matroid_lattice,
-    mn_lattice,
-    subspace_lattice,
-)
-from lcmlat.graphs import complete, cycle, edge_ideal_lattice, graph_fixture, path, star
-from lcmlat.lattice import lattice_from_covers
-
-
-def chain(n):
-    return lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)])
+from lcmlat.verify import fixture_lattices
 
 
 @pytest.fixture(scope="session")
 def lattice_pool():
     """Constructed lattices of assorted shapes, used by the invariant tests."""
-    pool = {
-        "one-point": lattice_from_covers(1, []),
-        "chain2": chain(2),
-        "chain3": chain(3),
-        "B2": lattice_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
-        "M3": mn_lattice(3),
-        "M5": mn_lattice(5),
-        "fano": fano_lattice(),
-        "graphic-matroid": graphic_matroid_lattice(),
-        "S(3,2)": subspace_lattice(3, 2),
-        "L(P4)": edge_ideal_lattice(path(4)),
-        "L(P5)": edge_ideal_lattice(path(5)),
-        "L(C4)": edge_ideal_lattice(cycle(4)),
-        "L(C5)": edge_ideal_lattice(cycle(5)),
-        "L(K4)": edge_ideal_lattice(complete(4)),
-        "L(St5)": edge_ideal_lattice(star(5)),
-        "L(fig5)": edge_ideal_lattice(graph_fixture("fig5")),
-        "L(fig6)": edge_ideal_lattice(graph_fixture("fig6")),
-        "L(bipartite-cm)": edge_ideal_lattice(graph_fixture("bipartite-cm")),
-    }
-    return pool
+    return fixture_lattices()

@@ -21,7 +21,7 @@ from lcmlat.constructions import (
     graphic_matroid_ideal,
     mn_lattice,
 )
-from lcmlat.graphs import edge_ideal, graph_fixture, star
+from lcmlat.graphs import Graph, cycle, edge_ideal, graph_fixture, star
 from lcmlat.lattice import atoms, is_atomic, is_isomorphic, lattice_from_covers
 
 
@@ -156,3 +156,19 @@ def test_permutation_equality():
     )  # star centered at the last variable
     assert ideals_permutation_equal(a, b)
     assert not ideals_permutation_equal(a, edge_ideal(star(5)))
+    # biregular incidence graphs, which colour refinement cannot separate:
+    # the edges of a hexagon against two triangles, and the vertex stars of
+    # K4 against those of a 3-regular multigraph on four vertices
+    hexagon = edge_ideal(cycle(6))
+    triangles = edge_ideal(Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))))
+    assert ideals_permutation_equal(hexagon, hexagon)
+    assert not ideals_permutation_equal(hexagon, triangles)
+    k4 = ideal((1, 1, 1, 0, 0, 0), (1, 0, 0, 1, 1, 0), (0, 1, 0, 1, 0, 1),
+               (0, 0, 1, 0, 1, 1))
+    multigraph = ideal((1, 1, 0, 0, 1, 0), (1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 0),
+                       (0, 0, 1, 1, 0, 1))
+    assert ideals_permutation_equal(k4, k4)
+    assert not ideals_permutation_equal(k4, multigraph)
+    # one variable per search level, past the default recursion limit
+    big = MonomialIdeal(1200, (Monomial((1,) * 1200),))
+    assert ideals_permutation_equal(big, big)

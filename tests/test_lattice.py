@@ -184,6 +184,25 @@ def test_isomorphism_basics():
     # same size, same degree data, different order: M3 vs chain of 5
     C5 = lattice_from_covers(5, [(i, i + 1) for i in range(4)])
     assert not is_isomorphic(C5, mn_lattice(3))
+    # bottom, six points, six two-point lines, top: colour refinement cannot
+    # tell a hexagon from two triangles, only the search's edge checks can
+    hexagon, triangles = (
+        lattice_from_covers(
+            14,
+            [(0, p) for p in range(1, 7)]
+            + [(1 + p, 7 + e) for e, line in enumerate(lines) for p in line]
+            + [(e, 13) for e in range(7, 13)],
+        )
+        for lines in (
+            ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)),
+            ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)),
+        )
+    )
+    assert is_isomorphic(hexagon, hexagon)
+    assert not is_isomorphic(hexagon, triangles)
+    # longer than the default recursion limit: the search keeps its own stack
+    C1200 = lattice_from_covers(1200, [(i, i + 1) for i in range(1199)])
+    assert is_isomorphic(C1200, C1200)
 
 
 def test_meet_join_algebra(lattice_pool):

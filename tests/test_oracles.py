@@ -191,6 +191,83 @@ def test_isomorphism_against_networkx_digraph_matcher(lattice_pool):
         assert is_isomorphic(FiniteLattice.from_below_masks(shuffled), L)
 
 
+def test_permutation_equality_against_networkx_bipartite_matcher():
+    # two squarefree ideals agree up to a variable permutation exactly when
+    # their variable-generator incidence graphs are isomorphic with the
+    # sides kept apart
+    import random
+
+    import networkx as nx
+
+    from lcmlat.ideals import Monomial, MonomialIdeal, ideals_permutation_equal, minimalize
+
+    def incidence(I):
+        g = nx.Graph()
+        g.add_nodes_from((("x", v) for v in range(I.nvars)), side=0)
+        g.add_nodes_from((("g", j) for j in range(I.ngens)), side=1)
+        g.add_edges_from(
+            (("x", v), ("g", j)) for j, m in enumerate(I.gens) for v in m.support()
+        )
+        return g
+
+    def random_squarefree(rng, nvars):
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            support = rng.sample(range(nvars), rng.randint(1, nvars))
+            gens.append(Monomial(tuple(int(v in support) for v in range(nvars))))
+        return minimalize(gens, nvars)
+
+    def relabeled(I, rng):
+        perm = rng.sample(range(I.nvars), I.nvars)
+        return MonomialIdeal(I.nvars, tuple(
+            Monomial(tuple(m.exps[perm[v]] for v in range(I.nvars))) for m in I.gens
+        ))
+
+    side = nx.algorithms.isomorphism.categorical_node_match("side", None)
+    rng = random.Random(31)
+    agree = 0
+    for _ in range(150):
+        nvars = rng.randint(2, 6)
+        a = random_squarefree(rng, nvars)
+        for b in (relabeled(a, rng), random_squarefree(rng, nvars)):
+            expected = nx.is_isomorphic(incidence(a), incidence(b), node_match=side)
+            assert ideals_permutation_equal(a, b) == expected, (str(a), str(b))
+            agree += expected
+    assert 150 < agree < 300  # both verdicts occur
+
+
+def test_canonical_form_against_networkx_isomorphism():
+    import itertools
+    import random
+
+    import networkx as nx
+
+    from lcmlat.graphs import Graph, canonical_form
+
+    def nx_graph(G):
+        g = nx.Graph()
+        g.add_nodes_from(range(G.n))
+        g.add_edges_from(G.edges)
+        return g
+
+    pairs = list(itertools.combinations(range(7), 2))
+    rng = random.Random(41)
+    for _ in range(40):
+        G = Graph(7, tuple(p for p in pairs if rng.random() < 0.5))
+        perm = rng.sample(range(7), 7)
+        H = Graph(7, tuple((perm[u], perm[v]) for u, v in G.edges))
+        assert canonical_form(H) == canonical_form(G), G.edges
+    same = 0
+    for _ in range(200):
+        # equal edge counts, so the verdict is not settled by size alone
+        G = Graph(7, tuple(p for p in pairs if rng.random() < 0.5))
+        H = Graph(7, tuple(rng.sample(pairs, len(G.edges))))
+        expected = nx.is_isomorphic(nx_graph(G), nx_graph(H))
+        assert (canonical_form(G) == canonical_form(H)) == expected, (G.edges, H.edges)
+        same += expected
+    assert same > 0
+
+
 def test_from_below_masks_rejects_broken_relations():
     import pytest
 
