@@ -340,6 +340,12 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 1
+    except KeyboardInterrupt:
+        print("lcmlat: error: interrupted", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("lcmlat: error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 
+import numpy as np
 import scipy.sparse as sp
 
 from .fields import DEFAULT_PRIME, FieldSpec
@@ -108,103 +110,77 @@ def boundary_matrix(K: SimplicialComplexData, d: int) -> sp.csc_matrix:
     cols = K.faces_by_dim.get(d, [])
     rows = K.faces_by_dim.get(d - 1, [])
     row_index = {f: i for i, f in enumerate(rows)}
-    data, ri, ci = [], [], []
-    for j, f in enumerate(cols):
-        for k in range(len(f)):
-            sub = f[:k] + f[k + 1 :]
-            data.append(1 if k % 2 == 0 else -1)
-            ri.append(row_index[sub])
-            ci.append(j)
-    return sp.csc_matrix((data, (ri, ci)), shape=(len(rows), len(cols)), dtype=int)
+    # Every column has exactly d + 1 entries.  combinations(f, d) lists the
+    # (d-1)-faces of f with vertex k dropped for k = d, ..., 0, which are the
+    # column's rows in ascending order.
+    indices = np.fromiter(
+        (row_index[g] for f in cols for g in combinations(f, d)),
+        dtype=np.int32,
+        count=(d + 1) * len(cols),
+    )
+    data = np.tile([1 if k % 2 == 0 else -1 for k in range(d, -1, -1)], len(cols))
+    indptr = np.arange(0, (d + 1) * len(cols) + 1, d + 1, dtype=np.int32)
+    return sp.csc_matrix((data, indices, indptr), shape=(len(rows), len(cols)))
 
 
 # -- exact sparse rank ---------------------------------------------------------
 
 
-def _sparse_rows(mat: sp.spmatrix):
-    mat = mat.tocsr()
-    rows = []
-    for i in range(mat.shape[0]):
-        lo, hi = mat.indptr[i], mat.indptr[i + 1]
-        row = {int(c): int(v) for c, v in zip(mat.indices[lo:hi], mat.data[lo:hi]) if v}
-        if row:
-            rows.append(row)
-    return rows
-
-
 def sparse_rank(mat: sp.spmatrix, field: FieldSpec) -> int:
-    """Exact rank by sparse Gaussian elimination with a Markowitz-style
-    pivot rule; integer arithmetic with content reduction when the field is
-    the rationals."""
-    rows = _sparse_rows(mat)
+    """Exact rank of an integer matrix by column reduction.
+
+    Columns are reduced left to right.  While a column is non-empty, its
+    lowest row is looked up among the pivots of the columns already reduced:
+    if no column owns that row, the column becomes its owner, otherwise the
+    right multiple of the owner is subtracted.  The rank is the number of
+    owners.  Over GF(p) entries are kept mod p and every owner is scaled to
+    pivot 1; over the rationals the arithmetic stays in the integers, as
+    ``b*col - a*owner`` followed by division by the content.
+    """
     p = field.characteristic
-    if p:
-        for row in rows:
-            for c in list(row):
-                v = row[c] % p
-                if v:
-                    row[c] = v
+    mat = mat.tocsc()
+    indptr = mat.indptr.tolist()
+    indices = mat.indices.tolist()
+    data = (mat.data % p if p else mat.data).tolist()
+    owner = {}
+    for j in range(mat.shape[1]):
+        lo, hi = indptr[j], indptr[j + 1]
+        col = {r: v for r, v in zip(indices[lo:hi], data[lo:hi]) if v}
+        while col:
+            low = max(col)
+            piv = owner.get(low)
+            if piv is None:
+                if p:
+                    inv = pow(col[low], p - 2, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                owner[low] = col
+                break
+            a = col[low]
+            if not p:
+                b = piv[low]
+                # the sign of b goes into g, so the scale b ends up positive
+                # and, for boundary matrices, nearly always 1
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                a, b = a // g, b // g
+                if b != 1:
+                    col = {r: b * v for r, v in col.items()}
+            for r, v in piv.items():
+                nv = col.get(r, 0) - a * v
+                if p:
+                    nv %= p
+                if nv:
+                    col[r] = nv
                 else:
-                    del row[c]
-        rows = [r for r in rows if r]
-    col_count = {}
-    for row in rows:
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-    alive = set(range(len(rows)))
-    rank = 0
-    while alive:
-        # pivot row with fewest entries, then its rarest column
-        r = min(alive, key=lambda i: len(rows[i]))
-        row = rows[r]
-        if not row:
-            alive.discard(r)
-            continue
-        c = min(row, key=lambda col: (col_count.get(col, 0), col))
-        alive.discard(r)
-        rank += 1
-        piv = row[c]
-        if p:
-            inv = pow(piv, p - 2, p)
-            row = {cc: (vv * inv) % p for cc, vv in row.items()}
-        for i in list(alive):
-            other = rows[i]
-            a = other.get(c)
-            if a is None:
-                continue
-            for cc in other:
-                col_count[cc] -= 1
-            if p:
-                for cc, vv in row.items():
-                    nv = (other.get(cc, 0) - a * vv) % p
-                    if nv:
-                        other[cc] = nv
-                    elif cc in other:
-                        del other[cc]
-            else:
-                for cc in list(other):
-                    other[cc] = piv * other[cc]
-                for cc, vv in row.items():
-                    nv = other.get(cc, 0) - a * vv
-                    if nv:
-                        other[cc] = nv
-                    elif cc in other:
-                        del other[cc]
-                if other:
-                    g = 0
-                    for vv in other.values():
-                        g = gcd(g, vv)
-                    if g > 1:
-                        for cc in other:
-                            other[cc] //= g
-            if not other:
-                alive.discard(i)
-            else:
-                for cc in other:
-                    col_count[cc] = col_count.get(cc, 0) + 1
-        for cc in row:
-            col_count[cc] = col_count.get(cc, 0) - 1
-    return rank
+                    del col[r]
+            if not p:
+                g = 0
+                for v in col.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    col = {r: v // g for r, v in col.items()}
+    return len(owner)
 
 
 def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = None):

@@ -197,6 +197,24 @@ def test_verify_cli_counterexample_exit_code(capsys, monkeypatch):
     assert "counterexample" in out and "synthetic" in out
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [(KeyboardInterrupt, "interrupted"), (MemoryError, "out of memory")],
+)
+def test_interrupt_and_memory_error_exit_cleanly(capsys, monkeypatch, tmp_path,
+                                                 exc, message):
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "lattice_betti_table", raising)
+    f = tmp_path / "two.ideal"
+    f.write_text("x1*x2\nx2*x3\n")
+    code, out, err = run(capsys, ["ideal", "betti", str(f)])
+    assert code == 1
+    assert out == ""
+    assert err == f"lcmlat: error: {message}\n"
+
+
 def test_betti_multigraded_text(capsys, monkeypatch, tmp_path):
     f = tmp_path / "two.ideal"
     f.write_text("x1*x2\nx2*x3\n")

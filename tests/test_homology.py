@@ -104,13 +104,46 @@ def test_full_simplex_is_acyclic():
 
 
 def test_sparse_rank_matches_numpy():
-    rng = np.random.default_rng(11)
+    # random sparse integer matrices of every shape, with zero, repeated and
+    # dependent columns and entries that vanish mod p, against independent
+    # dense ranks
     import scipy.sparse as sp
 
-    for _ in range(25):
-        a = rng.integers(-2, 3, size=(8, 9))
-        expected = np.linalg.matrix_rank(a.astype(float))
-        assert sparse_rank(sp.csc_matrix(a), FieldSpec(0)) == expected
+    from lcmlat.taylor import _dense_rank_mod_p
+
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        nrows, ncols = rng.integers(0, 11, size=2)
+        a = rng.integers(-6, 7, size=(nrows, ncols))
+        a = a * (rng.random((nrows, ncols)) < rng.random())
+        if ncols > 2:
+            j, k, l = rng.integers(ncols, size=3)
+            a[:, j] = 0
+            a[:, k] = a[:, l]
+            j, k, l = rng.integers(ncols, size=3)
+            a[:, j] = rng.integers(-3, 4) * a[:, k] + rng.integers(-3, 4) * a[:, l]
+        if trial % 3 == 0:
+            a = a * rng.choice([2, 3, 32003])
+        mat = sp.csc_matrix(a)
+        expected = np.linalg.matrix_rank(a.astype(float)) if a.size else 0
+        assert sparse_rank(mat, FieldSpec(0)) == expected, a
+        for p in (2, 3, 32003):
+            expected = _dense_rank_mod_p(a, p) if a.size else 0
+            assert sparse_rank(mat, FieldSpec(p)) == expected, (p, a)
+
+
+def test_projective_plane_homology_depends_on_the_field():
+    # the 6-vertex real projective plane: H_1 = Z/2 and H_2 = 0 integrally,
+    # so both reduced ranks are 1 over GF(2) and 0 over any other field
+    facets = [(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
+    K = complex_from_facets(range(6), [[v - 1 for v in f] for f in facets])
+    assert (K.n_faces(0), K.n_faces(1), K.n_faces(2)) == (6, 15, 10)
+    assert reduced_homology_ranks(K, FieldSpec(2)) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    zero = {-1: 0, 0: 0, 1: 0, 2: 0}
+    for char in (0, 3, 32003):
+        assert reduced_homology_ranks(K, FieldSpec(char)) == zero, char
+    assert reduced_homology_ranks(K) == zero
 
 
 def test_default_field_confirms_char0(monkeypatch):

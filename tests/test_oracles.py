@@ -14,18 +14,23 @@ from lcmlat.fields import FieldSpec
 from lcmlat.graphs import (
     complete,
     connected_graph_masks,
+    cycle,
+    edge_ideal,
     edge_ideal_lattice,
     graph_from_mask,
     star,
 )
+from lcmlat.ideals import lcm_lattice
 from lcmlat.lattice import (
     is_graded,
     is_lower_semimodular,
     is_modular,
     is_supersolvable,
     is_upper_semimodular,
+    mobius,
 )
-from lcmlat.resolutions import lattice_betti_table
+from lcmlat.resolutions import betti_table, lattice_betti_table
+from lcmlat.taylor import taylor_betti
 
 
 def _law_modular(L):
@@ -149,6 +154,25 @@ def test_star_graph_betti_is_binomial():
         expected = {(i, i + 1): comb(n - 1, i) for i in range(1, n)}
         expected[(0, 0)] = 1
         assert t.graded == expected, n
+
+
+def test_cycle8_betti_matches_taylor_and_moebius():
+    # L(C8) has 90 elements: the largest intervals tier-1 reduces.  Both
+    # Betti routes must agree entry for entry, and every multidegree's
+    # alternating sum is the reduced Euler characteristic of its interval,
+    # which is mu(bottom, m) by Hall's theorem.
+    I = edge_ideal(cycle(8))
+    table = betti_table(I)
+    assert table.multigraded == taylor_betti(I, FieldSpec(32003))
+    L = lcm_lattice(I)
+    assert L.n == 90
+    for m in range(L.n):
+        euler = sum(
+            (-1) ** i * r
+            for (i, label), r in table.multigraded.items()
+            if label == L.labels[m]
+        )
+        assert euler == mobius(L, L.bottom, m), L.labels[m]
 
 
 def test_isomorphism_against_networkx_digraph_matcher(lattice_pool):
