@@ -26,7 +26,6 @@ from .fields import DEFAULT_PRIME, FieldSpec
 from .lattice import (
     FiniteLattice,
     PropertyReport,
-    RankFunction,
     atoms,
     coatoms,
     dual,

@@ -9,7 +9,12 @@ import itertools
 from .errors import BadParameter, TooLarge
 from .fields import is_prime
 from .ideals import Monomial, MonomialIdeal
-from .lattice import MAX_ELEMENTS, FiniteLattice, lattice_from_covers
+from .lattice import (
+    MAX_ELEMENTS,
+    FiniteLattice,
+    lattice_from_covers,
+    lattice_of_sets,
+)
 
 
 def subspace_count(q: int, r: int) -> int:
@@ -68,14 +73,7 @@ def subspace_lattice(q: int, r: int) -> FiniteLattice:
                     new.append(W)
         frontier = new
     elems = sorted(spaces, key=lambda U: (len(U), sorted(map(code, U))))
-    below = [0] * len(elems)
-    for j, W in enumerate(elems):
-        m = 0
-        for i, U in enumerate(elems[: j + 1]):
-            if U <= W:
-                m |= 1 << i
-        below[j] = m
-    return FiniteLattice.from_below_masks(below)
+    return lattice_of_sets([sum(1 << code(v) for v in U) for U in elems])
 
 
 def mn_lattice(n: int) -> FiniteLattice:

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadParameter, NoEdges, TheoremViolation
-from .ideals import Monomial, MonomialIdeal
+from .ideals import Monomial, MonomialIdeal, lcm_lattice
 from .lattice import (
     FiniteLattice,
     PropertyReport,
     _bits,
-    is_graded,
     open_interval_is_connected,
     property_report,
     refine,
@@ -144,31 +143,9 @@ def edge_ideal(G: Graph) -> MonomialIdeal:
 
 
 def edge_ideal_lattice(G: Graph) -> FiniteLattice:
-    """LCM lattice of the edge ideal, built directly on vertex bitmasks:
-    the elements are the induced subgraphs without isolated vertices."""
-    if not G.nontrivial:
-        raise NoEdges("the graph has no edges")
-    adj = G.adjacency
-    elems = [0]
-    for mask in range(1, 1 << G.n):
-        for v in _bits(mask):
-            if not adj[v] & mask:
-                break
-        else:
-            elems.append(mask)
-    elems.sort(key=lambda m: (m.bit_count(), m))
-    index = {m: i for i, m in enumerate(elems)}
-    below = [0] * len(elems)
-    for j, mj in enumerate(elems):
-        mask = 0
-        for i in range(j + 1):
-            if not elems[i] & ~mj:
-                mask |= 1 << i
-        below[j] = mask
-    labels = tuple(
-        Monomial(tuple(1 if (m >> v) & 1 else 0 for v in range(G.n))) for m in elems
-    )
-    return FiniteLattice.from_below_masks(below, labels)
+    """LCM lattice of the edge ideal: its elements are the induced subgraphs
+    without isolated vertices, labelled by their vertex sets."""
+    return lcm_lattice(edge_ideal(G))
 
 
 # -- induced-subgraph predicates -----------------------------------------------
@@ -375,14 +352,15 @@ def check_graph_theorems(G: Graph):
                     "witness": rep[name].witness,
                 }
             )
-    graded_ok, rf = is_graded(L)
+    graded_ok = rep.verdict("graded")
     rank_ok = True
     if graded_ok:
+        ranks = L.chain_ranks
         for i in range(L.n):
-            if i != L.bottom and rf.ranks[i] != L.labels[i].degree - 1:
+            if i != L.bottom and ranks[i] != L.labels[i].degree - 1:
                 rank_ok = False
                 violations.append(
-                    {"property": "rank_formula", "element": i, "rank": rf.ranks[i]}
+                    {"property": "rank_formula", "element": i, "rank": ranks[i]}
                 )
                 break
     linp = linearly_presented(L)

@@ -191,12 +191,13 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     boundary matrices stay small, confirmed over the rationals; a mismatch is
     reported as a warning and the rational answer wins.
     """
+    boundaries = [boundary_matrix(K, d) for d in range(K.dim + 1)]
     if field is not None:
-        return _homology_ranks(K, field)
-    fast = _homology_ranks(K, FieldSpec(DEFAULT_PRIME))
+        return _homology_ranks(boundaries, field)
+    fast = _homology_ranks(boundaries, FieldSpec(DEFAULT_PRIME))
     if max((K.n_faces(d) for d in K.faces_by_dim), default=0) >= CHAR0_CONFIRM_COLUMNS:
         return fast
-    exact = _homology_ranks(K, FieldSpec(0))
+    exact = _homology_ranks(boundaries, FieldSpec(0))
     if exact != fast:
         warnings.warn(
             f"homology ranks differ between GF({DEFAULT_PRIME}) and char 0: "
@@ -207,17 +208,18 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     return fast
 
 
-def _homology_ranks(K: SimplicialComplexData, field: FieldSpec):
-    top = K.dim
-    ranks = {}
-    boundary_rank = {}
-    for d in range(0, top + 1):
-        boundary_rank[d] = sparse_rank(boundary_matrix(K, d), field)
-    for d in range(-1, top + 1):
-        ranks[d] = (
-            K.n_faces(d) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
-        )
-    return ranks
+def _homology_ranks(boundaries, field: FieldSpec):
+    """Reduced homology ranks {d: rank} for d = -1 .. dim, from the boundary
+    matrices of the dimensions 0 .. dim."""
+    # rank[d + 1] is the rank of the boundary map out of dimension d; the
+    # maps out of dimensions -1 and dim + 1 are zero
+    rank = [0] + [sparse_rank(mat, field) for mat in boundaries] + [0]
+    # one empty face, then the columns of each boundary matrix
+    faces = [1] + [mat.shape[1] for mat in boundaries]
+    return {
+        d: faces[d + 1] - rank[d + 1] - rank[d + 2]
+        for d in range(-1, len(boundaries))
+    }
 
 
 def euler_characteristic(K: SimplicialComplexData) -> int:

@@ -5,8 +5,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EmptyGeneratorSet, NotAtomic, UnitGenerator
-from .lattice import FiniteLattice, atoms, find_isomorphism, meet_irreducibles
+from .errors import EmptyGeneratorSet, NotAtomic, TooLarge, UnitGenerator
+from .lattice import (
+    MAX_ELEMENTS,
+    FiniteLattice,
+    atoms,
+    find_isomorphism,
+    lattice_of_sets,
+    meet_irreducibles,
+)
 
 
 @dataclass(frozen=True)
@@ -130,55 +137,55 @@ def minimalize(monomials, nvars=None) -> MonomialIdeal:
     return MonomialIdeal(nvars, tuple(kept))
 
 
+def _polarization(ideal: MonomialIdeal):
+    """Generators as polarization bitmasks: variable v, with largest exponent
+    d_v among the generators, owns the d_v bits from offsets[v], and the
+    exponent e sets the low e of them.  lcm is then ``|`` and divisibility
+    ``a & ~b == 0``.  Returns the masks and offsets, whose last entry is the
+    total bit count."""
+    widths = [max(g.exps[v] for g in ideal.gens) for v in range(ideal.nvars)]
+    offsets = list(itertools.accumulate(widths, initial=0))
+    masks = [
+        sum(((1 << e) - 1) << off for e, off in zip(g.exps, offsets))
+        for g in ideal.gens
+    ]
+    return masks, offsets
+
+
 def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """LCM lattice: lcms of generator subsets ordered by divisibility, with
-    monomial labels; the empty subset contributes 1 as the bottom."""
-    from .errors import TooLarge
-    from .lattice import MAX_ELEMENTS
-
-    current = set(ideal.gens)
-    frontier = list(ideal.gens)
+    monomial labels; the empty subset contributes 1 as the bottom.  Elements
+    are ordered by (degree, exponent vector)."""
+    masks, offsets = _polarization(ideal)
+    current = set(masks)
+    frontier = masks
     while frontier:
         new = []
         for m in frontier:
-            for g in ideal.gens:
-                u = m.lcm(g)
+            for g in masks:
+                u = m | g
                 if u not in current:
                     current.add(u)
                     new.append(u)
         if len(current) > MAX_ELEMENTS:
             raise TooLarge("LCM lattice exceeds the element capacity")
         frontier = new
-    elems = [unit(ideal.nvars)] + sorted(current, key=lambda m: (m.degree, m.exps))
-    below = [0] * len(elems)
-    for j, mj in enumerate(elems):
-        mask = 0
-        for i, mi in enumerate(elems[: j + 1]):
-            if mi.divides(mj):
-                mask |= 1 << i
-        below[j] = mask
-    return FiniteLattice.from_below_masks(below, tuple(elems))
+    current.add(0)
+    blocks = [(lo, (1 << (hi - lo)) - 1) for lo, hi in zip(offsets, offsets[1:])]
+    labels = {
+        m: Monomial(tuple(((m >> lo) & ones).bit_count() for lo, ones in blocks))
+        for m in current
+    }
+    elems = sorted(current, key=lambda m: (m.bit_count(), labels[m].exps))
+    return lattice_of_sets(elems, [labels[m] for m in elems])
 
 
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Standard polarization: the e-th power of a variable spreads over its
     first e slots; the result is squarefree with an isomorphic LCM lattice."""
-    maxdeg = [0] * ideal.nvars
-    for g in ideal.gens:
-        for i, e in enumerate(g.exps):
-            maxdeg[i] = max(maxdeg[i], e)
-    offsets = [0] * ideal.nvars
-    total = 0
-    for i, d in enumerate(maxdeg):
-        offsets[i] = total
-        total += d
-    gens = []
-    for g in ideal.gens:
-        exps = [0] * total
-        for i, e in enumerate(g.exps):
-            for s in range(e):
-                exps[offsets[i] + s] = 1
-        gens.append(Monomial(tuple(exps)))
+    masks, offsets = _polarization(ideal)
+    total = offsets[-1]
+    gens = [Monomial(tuple((m >> k) & 1 for k in range(total))) for m in masks]
     return MonomialIdeal(total, tuple(gens))
 
 

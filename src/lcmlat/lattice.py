@@ -21,30 +21,6 @@ from .errors import CyclicCovers, NotALattice, NotBounded, NotComparable
 #: Hard cap on element count; desk-scale fixtures stay far below it.
 MAX_ELEMENTS = 1 << 20
 
-PROPERTY_NAMES = (
-    "atomic",
-    "coatomic",
-    "graded",
-    "modular",
-    "upper_semimodular",
-    "lower_semimodular",
-    "supersolvable",
-    "distributive",
-    "boolean",
-    "geometric",
-    "complemented",
-    "strongly_complemented",
-    "uniquely_complemented",
-)
-
-
-@dataclass(frozen=True)
-class RankFunction:
-    """Ranks of a graded lattice: 0 at bottom, +1 along every cover."""
-
-    ranks: tuple
-    height: int
-
 
 @dataclass(frozen=True)
 class PropertyVerdict:
@@ -306,6 +282,29 @@ def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     return FiniteLattice.from_below_masks(below, labels)
 
 
+def lattice_of_sets(masks, labels=None) -> FiniteLattice:
+    """Distinct sets, given as bitmasks, ordered by inclusion.  Element i is
+    masks[i], so the caller's order is kept; ``from_below_masks`` checks
+    that the inclusion order is a lattice."""
+    universe = 0
+    for m in masks:
+        universe |= m
+    # lacking[b]: the elements whose set lacks b; a set is inside m exactly
+    # when it lacks every b outside m
+    lacking = {
+        b: sum(1 << i for i, m in enumerate(masks) if not (m >> b) & 1)
+        for b in _bits(universe)
+    }
+    full = (1 << len(masks)) - 1
+    below = []
+    for m in masks:
+        down = full
+        for b in _bits(universe & ~m):
+            down &= lacking[b]
+        below.append(down)
+    return FiniteLattice.from_below_masks(below, labels)
+
+
 def _meet_err(i, j, ext):
     if ext is not None:
         i, j = ext[i], ext[j]
@@ -343,20 +342,14 @@ def height(L: FiniteLattice) -> int:
 
 
 def is_graded(L: FiniteLattice):
-    """(True, RankFunction) when longest-chain ranks step by 1 on covers."""
+    """Whether longest-chain ranks step by 1 on every cover; the witness of
+    a False verdict is the first cover (i, j) where they do not.  The ranks
+    themselves are ``L.chain_ranks``."""
     ranks = L.chain_ranks
     for i, j in L.cover_pairs:
         if ranks[j] != ranks[i] + 1:
-            return False, None
-    return True, RankFunction(ranks, ranks[L.top])
-
-
-def _bad_cover(L):
-    ranks = L.chain_ranks
-    for i, j in L.cover_pairs:
-        if ranks[j] != ranks[i] + 1:
-            return (i, j)
-    return None
+            return False, (i, j)
+    return True, None
 
 
 # -- property predicates ------------------------------------------------------
@@ -387,10 +380,9 @@ def is_coatomic(L: FiniteLattice):
 
 
 def _rank_array(L):
-    ok, rf = is_graded(L)
-    if not ok:
+    if not is_graded(L)[0]:
         return None
-    return np.asarray(rf.ranks, dtype=np.int64)
+    return np.asarray(L.chain_ranks, dtype=np.int64)
 
 
 def _pair_witness(bad) -> tuple:
@@ -560,11 +552,10 @@ def is_supersolvable(L: FiniteLattice):
 
 
 def property_report(L: FiniteLattice) -> PropertyReport:
-    graded_ok, _ = is_graded(L)
     checks = {
         "atomic": is_atomic,
         "coatomic": is_coatomic,
-        "graded": lambda lat: (graded_ok, None if graded_ok else _bad_cover(lat)),
+        "graded": is_graded,
         "modular": is_modular,
         "upper_semimodular": is_upper_semimodular,
         "lower_semimodular": is_lower_semimodular,

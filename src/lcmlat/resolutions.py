@@ -86,35 +86,19 @@ class TaylorReport:
     witness: Optional[tuple] = None
 
 
-def _interval_ranks(args):
-    L, m, field = args
-    K = open_interval_order_complex(L, L.bottom, m)
-    return m, reduced_homology_ranks(K, field)
-
-
 def lattice_betti_table(
-    L: FiniteLattice, field: FieldSpec | None = None, jobs: int = 1
+    L: FiniteLattice, field: FieldSpec | None = None
 ) -> BettiTable:
     """Betti numbers from a labeled LCM lattice: the entry at (i, m) is the
-    rank of reduced homology in dimension i-2 of the open interval below m.
-
-    Intervals are independent, so with jobs > 1 they are farmed out to a
-    process pool and merged back in element order.
-    """
+    rank of reduced homology in dimension i-2 of the open interval below m."""
     if L.labels is None:
         raise ValueError("lattice must carry monomial labels")
-    elems = [m for m in range(L.n) if m != L.bottom]
-    if jobs > 1 and len(elems) > 4:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            computed = pool.map(_interval_ranks, [(L, m, field) for m in elems])
-        computed.sort()
-    else:
-        computed = [_interval_ranks((L, m, field)) for m in elems]
     multigraded = {(0, L.labels[L.bottom]): 1}
-    for m, ranks in computed:
-        for d, r in ranks.items():
+    for m in range(L.n):
+        if m == L.bottom:
+            continue
+        K = open_interval_order_complex(L, L.bottom, m)
+        for d, r in reduced_homology_ranks(K, field).items():
             if r:
                 multigraded[(d + 2, L.labels[m])] = r
     return BettiTable(multigraded, field)

@@ -343,12 +343,12 @@ def _run_special_families(case: TheoremCase) -> VerificationResult:
         expect(f"C{n} complemented", property_report(L).verdict("complemented"), True)
     for n in range(2, 7):
         L = edge_ideal_lattice(complete(n))
-        graded_ok, rf = is_graded(L)
+        graded_ok = is_graded(L)[0]
         expect(f"K{n} graded", graded_ok, True)
         expect(f"K{n} complemented", property_report(L).verdict("complemented"), True)
         pd = lattice_betti_table(L, case.field).pd
         expect(f"K{n} pd", pd, n - 1)
-        expect(f"K{n} rank", rf.height if rf else None, n - 1)
+        expect(f"K{n} rank", height(L) if graded_ok else None, n - 1)
     return res
 
 

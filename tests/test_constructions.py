@@ -41,8 +41,8 @@ def test_subspace_counts_and_grading():
         assert L.n == subspace_count(q, r)
         expected_atoms = (q**r - 1) // (q - 1)
         assert len(atoms(L)) == len(coatoms(L)) == expected_atoms
-        ok, rf = is_graded(L)
-        assert ok and rf.height == r
+        ok, _ = is_graded(L)
+        assert ok and height(L) == r
 
 
 def test_subspace_lattices_are_modular_geometric_coatomic():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from lcmlat.errors import BadParameter, NoEdges
@@ -28,8 +30,7 @@ from lcmlat.graphs import (
     path,
     star,
 )
-from lcmlat.ideals import lcm_lattice
-from lcmlat.lattice import is_complemented, is_isomorphic
+from lcmlat.lattice import is_complemented
 
 
 def test_families():
@@ -93,13 +94,32 @@ def test_clique_with_unique_attachment():
     assert not has_clique_with_unique_attachment(path(5))
 
 
-def test_fast_lattice_matches_generic_construction():
-    for G in (path(4), cycle(5), star(5), graph_fixture("fig6"), complete(4)):
-        fast = edge_ideal_lattice(G)
-        generic = lcm_lattice(edge_ideal(G))
-        assert fast.n == generic.n
-        assert set(fast.labels) == set(generic.labels)
-        assert is_isomorphic(fast, generic)
+def _sets_without_isolated_vertices(G):
+    """Vertex sets whose induced subgraph has no isolated vertex, read off
+    the edge list alone; the empty set included."""
+    out = set()
+    for k in range(G.n + 1):
+        for S in itertools.combinations(range(G.n), k):
+            if all(any(v in e and set(e) <= set(S) for e in G.edges) for v in S):
+                out.add(frozenset(S))
+    return out
+
+
+def test_edge_ideal_lattice_is_the_induced_subgraphs_without_isolated_vertices():
+    graphs = [
+        graph_from_mask(n, mask)
+        for n in range(2, 6)
+        for mask in connected_graph_masks(n)
+    ]
+    for G in graphs + [graph_fixture("fig5"), graph_fixture("fig6")]:
+        L = edge_ideal_lattice(G)
+        assert all(label.is_squarefree for label in L.labels)
+        supports = [frozenset(label.support()) for label in L.labels]
+        assert len(set(supports)) == L.n
+        assert set(supports) == _sets_without_isolated_vertices(G)
+        for i, a in enumerate(supports):
+            for j, b in enumerate(supports):
+                assert L.leq(i, j) == (a <= b), (G.edges, a, b)
 
 
 def test_complemented_criterion_families():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from functools import reduce
 
 import pytest
 
@@ -111,6 +113,38 @@ def test_polarize():
 def test_polarize_preserves_lattice_with_high_powers():
     I = ideal((3, 1, 0), (1, 2, 1), (0, 0, 3))
     assert is_isomorphic(lcm_lattice(I), lcm_lattice(polarize(I)))
+
+
+def test_lcm_lattice_matches_brute_force_subset_lcms():
+    """Labels in (degree, exponent vector) order and divisibility down-sets
+    of non-squarefree ideals, against every subset lcm taken with
+    Monomial.lcm."""
+    rng = random.Random(5)
+    checked = 0
+    while checked < 300:
+        nvars = rng.randint(1, 4)
+        monos = [
+            Monomial(tuple(rng.randint(0, 4) for _ in range(nvars)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        monos = [m for m in monos if not m.is_unit]
+        if not monos:
+            continue
+        I = minimalize(monos, nvars)
+        if I.is_squarefree:
+            continue
+        lcms = {
+            reduce(Monomial.lcm, sub, Monomial((0,) * nvars))
+            for k in range(I.ngens + 1)
+            for sub in itertools.combinations(I.gens, k)
+        }
+        expected = sorted(lcms, key=lambda m: (m.degree, m.exps))
+        L = lcm_lattice(I)
+        assert list(L.labels) == expected, str(I)
+        for j, b in enumerate(expected):
+            down = sum(1 << i for i, a in enumerate(expected) if a.divides(b))
+            assert L.below[j] == down, (str(I), j)
+        checked += 1
 
 
 def _brute_height(I):

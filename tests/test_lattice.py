@@ -45,8 +45,8 @@ def test_b2_structure():
     assert atoms(L) == [1, 2]
     assert coatoms(L) == [1, 2]
     assert meet_irreducibles(L) == [1, 2]
-    ok, rf = is_graded(L)
-    assert ok and rf.ranks == (0, 1, 1, 2) and rf.height == 2
+    ok, _ = is_graded(L)
+    assert ok and L.chain_ranks == (0, 1, 1, 2) and height(L) == 2
     assert mi_width(L) == 2
 
 
@@ -109,9 +109,14 @@ def test_heights():
 
 
 def test_graded_examples():
-    assert not is_graded(edge_ideal_lattice(path(5)))[0]
-    ok, rf = is_graded(fano_lattice())
-    assert ok and rf.height == 3
+    P5 = edge_ideal_lattice(path(5))
+    ok, (i, j) = is_graded(P5)
+    assert not ok
+    # the witness is a cover on which the longest-chain rank skips
+    assert (i, j) in P5.cover_pairs and P5.chain_ranks[j] != P5.chain_ranks[i] + 1
+    F = fano_lattice()
+    ok, _ = is_graded(F)
+    assert ok and height(F) == 3
 
 
 def test_mobius_values():
@@ -246,7 +251,7 @@ def test_supersolvable_witness_is_modular_chain():
     assert verdict.verdict
     chain = verdict.witness
     assert chain[0] == F.bottom and chain[-1] == F.top
-    ranks = is_graded(F)[1].ranks
+    ranks = F.chain_ranks
     assert [ranks[c] for c in chain] == list(range(len(chain)))
 
 
@@ -296,9 +301,9 @@ def test_false_witnesses_violate_definitions_exactly(lattice_pool):
     )
 
     for name, L in lattice_pool.items():
-        ok, rf = is_graded(L)
+        ok, _ = is_graded(L)
         if ok:
-            rk = rf.ranks
+            rk = L.chain_ranks
             verdict, w = is_modular(L)
             if not verdict:
                 x, y = w

@@ -72,10 +72,10 @@ def _cover_lsm(L):
 
 def _brute_supersolvable(L):
     """Enumerate every maximal chain and test the rank identity directly."""
-    ok, rf = is_graded(L)
+    ok, _ = is_graded(L)
     if not ok:
         return False
-    rk = rf.ranks
+    rk = L.chain_ranks
 
     def element_modular(m):
         return all(

@@ -142,12 +142,3 @@ def test_render_text_matches_expected_layout():
     assert lines[1].split() == ["0:", "1", "-", "-", "-"]
     assert lines[-1].split() == ["4:", "-", "-", "14", "8"]
 
-
-def test_parallel_interval_dispatch_matches_serial():
-    from lcmlat.graphs import edge_ideal_lattice
-    from lcmlat.resolutions import lattice_betti_table
-
-    L = edge_ideal_lattice(complete(5))
-    serial = lattice_betti_table(L, FieldSpec(32003))
-    parallel = lattice_betti_table(L, FieldSpec(32003), jobs=2)
-    assert serial.multigraded == parallel.multigraded
