@@ -96,8 +96,9 @@ class MonomialIdeal:
                 raise ValueError("generator arity mismatch")
             if g.is_unit:
                 raise UnitGenerator("1 is not allowed as a generator")
-        for a, b in itertools.permutations(self.gens, 2):
-            if a.divides(b):
+        masks, _ = _polarization(self)
+        for (a, ma), (b, mb) in itertools.permutations(zip(self.gens, masks), 2):
+            if not ma & ~mb:
                 raise ValueError(f"generators not minimal: {a} divides {b}")
 
     @property
@@ -143,7 +144,7 @@ def _polarization(ideal: MonomialIdeal):
     exponent e sets the low e of them.  lcm is then ``|`` and divisibility
     ``a & ~b == 0``.  Returns the masks and offsets, whose last entry is the
     total bit count."""
-    widths = [max(g.exps[v] for g in ideal.gens) for v in range(ideal.nvars)]
+    widths = [max(col) for col in zip(*(g.exps for g in ideal.gens))]
     offsets = list(itertools.accumulate(widths, initial=0))
     masks = [
         sum(((1 << e) - 1) << off for e, off in zip(g.exps, offsets))
@@ -222,19 +223,23 @@ def ideal_height(ideal: MonomialIdeal) -> int:
             minimal.append(s)
     best = len(set().union(*minimal)) if minimal else 0
 
-    def branch(idx, chosen, size):
+    def branch(unmet, size):
         nonlocal best
-        if size >= best:
-            return
-        while idx < len(minimal) and minimal[idx] & chosen:
-            idx += 1
-        if idx == len(minimal):
+        if not unmet:
             best = size
             return
-        for v in sorted(minimal[idx]):
-            branch(idx + 1, chosen | {v}, size + 1)
+        # pairwise-disjoint supports each need a variable of their own
+        bound, taken = size, set()
+        for s in unmet:
+            if not s & taken:
+                taken |= s
+                bound += 1
+        if bound >= best:
+            return
+        for v in sorted(unmet[0]):
+            branch([s for s in unmet if v not in s], size + 1)
 
-    branch(0, frozenset(), 0)
+    branch(minimal, 0)
     return best
 
 

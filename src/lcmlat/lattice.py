@@ -1,17 +1,19 @@
 """Finite bounded lattices: representation, derived structure, predicates.
 
 The order is stored as bitset rows (python ints): ``below[j]`` has bit ``i``
-set exactly when ``i <= j``.  Element indices are kept a linear extension
-(``i < j`` whenever ``i`` is strictly below ``j``), which makes the meet of a
-pair the highest set bit of the intersection of their down-sets.  Meet and
-join tables are dense numpy arrays so that whole-lattice property checks
-(distributivity, semimodularity, complements) can be vectorised.
+set exactly when ``i <= j``, and ``above`` is its transpose.  Element ids
+are the caller's and need not follow the order.  The meet of a pair is the
+element whose down-set is the intersection of theirs, the join likewise on
+up-sets.  Meet and join tables are dense numpy arrays so that whole-lattice
+property checks (distributivity, semimodularity, complements) can be
+vectorised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, gt, lt, ne
 from typing import Sequence
 
 import numpy as np
@@ -114,76 +116,30 @@ class FiniteLattice:
                 if below[j] == m:
                     raise NotALattice(f"order not antisymmetric at ({j}, {i})")
 
-        # The msb trick for meets needs indices to form a linear extension.
-        if all(not (m >> (i + 1)) for i, m in enumerate(below)):
-            ext = None
-            work = below
-        else:
-            ext = sorted(range(n), key=lambda i: _popcount(below[i]))
-            pos = [0] * n
-            for k, v in enumerate(ext):
-                pos[v] = k
-            work = [0] * n
-            for j in range(n):
-                m = 0
-                for i in _bits(below[j]):
-                    m |= 1 << pos[i]
-                work[pos[j]] = m
-
-        above = [0] * n
-        for j, m in enumerate(work):
-            for i in _bits(m):
-                above[i] |= 1 << j
-        full = (1 << n) - 1
-        common = full
-        for m in work:
-            common &= m
-        if _popcount(common) != 1:
+        above = _transpose(below)
+        with_down_set = {m: i for i, m in enumerate(below)}.get
+        with_up_set = {m: i for i, m in enumerate(above)}.get
+        bottom = with_down_set(reduce(and_, below))
+        if bottom is None:
             raise NotBounded("no unique bottom element")
-        bottom = common.bit_length() - 1
-        common = full
-        for m in above:
-            common &= m
-        if _popcount(common) != 1:
+        top = with_up_set(reduce(and_, above))
+        if top is None:
             raise NotBounded("no unique top element")
-        top = common.bit_length() - 1
-
+        # both tables are symmetric: fill row i up to the diagonal, and mirror
         meet = np.empty((n, n), dtype=np.int32)
         join = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            bi = work[i]
-            ai = above[i]
-            for j in range(i + 1):
-                lo = bi & work[j]
-                m = lo.bit_length() - 1
-                if lo & ~work[m]:
-                    raise NotALattice(_meet_err(i, j, ext))
-                meet[i, j] = meet[j, i] = m
-                hi = ai & above[j]
-                u = (hi & -hi).bit_length() - 1
-                if hi & ~above[u]:
-                    raise NotALattice(_join_err(i, j, ext))
-                join[i, j] = join[j, i] = u
-
-        if ext is not None:
-            # translate everything back to the caller's element ids
-            earr = np.asarray(ext, dtype=np.int32)
-            pos_arr = np.empty(n, dtype=np.int32)
-            pos_arr[earr] = np.arange(n, dtype=np.int32)
-            meet = earr[meet[np.ix_(pos_arr, pos_arr)]]
-            join = earr[join[np.ix_(pos_arr, pos_arr)]]
-            above_orig = [0] * n
-            for j, m in enumerate(below):
-                for i in _bits(m):
-                    above_orig[i] |= 1 << j
-            above = above_orig
-            bottom = ext[bottom]
-            top = ext[top]
-            work = below
-        meet.flags.writeable = False
-        join.flags.writeable = False
+        for i, (bi, ai) in enumerate(zip(below, above)):
+            down = [with_down_set(bi & m) for m in below[: i + 1]]
+            up = [with_up_set(ai & m) for m in above[: i + 1]]
+            if None in down or None in up:
+                j = min(row.index(None) for row in (down, up) if None in row)
+                kind = "meet" if down[j] is None else "join"
+                raise NotALattice(f"elements {i} and {j} have no unique {kind}")
+            meet[i, : i + 1] = meet[: i + 1, i] = down
+            join[i, : i + 1] = join[: i + 1, i] = up
+        meet.flags.writeable = join.flags.writeable = False
         return FiniteLattice(
-            tuple(work), tuple(above), meet, join, bottom, top,
+            tuple(below), tuple(above), meet, join, bottom, top,
             tuple(labels) if labels is not None else None,
         )
 
@@ -305,18 +261,6 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     return FiniteLattice.from_below_masks(below, labels)
 
 
-def _meet_err(i, j, ext):
-    if ext is not None:
-        i, j = ext[i], ext[j]
-    return f"elements {i} and {j} have no unique meet"
-
-
-def _join_err(i, j, ext):
-    if ext is not None:
-        i, j = ext[i], ext[j]
-    return f"elements {i} and {j} have no unique join"
-
-
 # -- derived element sets ----------------------------------------------------
 
 
@@ -355,28 +299,24 @@ def is_graded(L: FiniteLattice):
 # -- property predicates ------------------------------------------------------
 
 
-def is_atomic(L: FiniteLattice):
-    ats = atoms(L)
-    for x in range(L.n):
-        j = L.bottom
-        for a in ats:
-            if L.leq(a, x):
-                j = L.join_of(j, a)
-        if j != x:
-            return False, (x,)
+def _generated_by(L: FiniteLattice, gens, start: int, combine, order):
+    """Whether every x is the combine-fold, from start, of the generators g
+    with order[g, x] == g; the witness of False is the first x that is not."""
+    acc = np.full(L.n, start, dtype=np.int32)
+    for g in gens:
+        acc = np.where(order[g] == g, combine[acc, g], acc)
+    bad = np.nonzero(acc != np.arange(L.n))[0]
+    if bad.size:
+        return False, (int(bad[0]),)
     return True, None
+
+
+def is_atomic(L: FiniteLattice):
+    return _generated_by(L, atoms(L), L.bottom, L.join, L.meet)
 
 
 def is_coatomic(L: FiniteLattice):
-    cts = coatoms(L)
-    for x in range(L.n):
-        m = L.top
-        for c in cts:
-            if L.leq(x, c):
-                m = L.meet_of(m, c)
-        if m != x:
-            return False, (x,)
-    return True, None
+    return _generated_by(L, coatoms(L), L.top, L.meet, L.join)
 
 
 def _rank_array(L):
@@ -390,34 +330,28 @@ def _pair_witness(bad) -> tuple:
     return int(xs[0]), int(ys[0])
 
 
-def is_modular(L: FiniteLattice):
+def _rank_identity(L: FiniteLattice, bad_when):
+    """Compares rk(x) + rk(y) with rk(x ^ y) + rk(x v y) over all pairs; the
+    witness of False is the first pair where ``bad_when`` holds."""
     rk = _rank_array(L)
     if rk is None:
         return False, "not graded"
-    bad = rk[:, None] + rk[None, :] != rk[L.meet] + rk[L.join]
+    bad = bad_when(rk[:, None] + rk[None, :], rk[L.meet] + rk[L.join])
     if bad.any():
         return False, _pair_witness(bad)
     return True, None
+
+
+def is_modular(L: FiniteLattice):
+    return _rank_identity(L, ne)
 
 
 def is_upper_semimodular(L: FiniteLattice):
-    rk = _rank_array(L)
-    if rk is None:
-        return False, "not graded"
-    bad = rk[:, None] + rk[None, :] < rk[L.meet] + rk[L.join]
-    if bad.any():
-        return False, _pair_witness(bad)
-    return True, None
+    return _rank_identity(L, lt)
 
 
 def is_lower_semimodular(L: FiniteLattice):
-    rk = _rank_array(L)
-    if rk is None:
-        return False, "not graded"
-    bad = rk[:, None] + rk[None, :] > rk[L.meet] + rk[L.join]
-    if bad.any():
-        return False, _pair_witness(bad)
-    return True, None
+    return _rank_identity(L, gt)
 
 
 def is_distributive(L: FiniteLattice):
@@ -599,7 +533,9 @@ def mobius(L: FiniteLattice, x: int, y: int) -> int:
     if not L.leq(x, y):
         raise NotComparable(f"{x} is not below {y}")
     mu = {x: 1}
-    for z in L.interval_elements(x, y) + ([y] if y != x else []):
+    # (x, y] by down-set size, so every z comes after the elements below it
+    rest = L.strict_above[x] & L.below[y]
+    for z in sorted(_bits(rest), key=lambda z: _popcount(L.below[z])):
         s = 0
         for w in _bits(L.below[z] & L.above[x] & ~(1 << z)):
             s += mu[w]
@@ -661,15 +597,8 @@ def open_interval_is_connected(L: FiniteLattice, lo: int, hi: int) -> bool:
 
 
 def dual(L: FiniteLattice) -> FiniteLattice:
-    """Order-reversed lattice; element i becomes n-1-i and labels drop."""
-    n = L.n
-    rev = [0] * n
-    for j, m in enumerate(L.above):
-        nm = 0
-        for i in _bits(m):
-            nm |= 1 << (n - 1 - i)
-        rev[n - 1 - j] = nm
-    return FiniteLattice.from_below_masks(rev)
+    """Order-reversed lattice on the same element ids; labels drop."""
+    return FiniteLattice.from_below_masks(L.above)
 
 
 def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:

@@ -160,6 +160,9 @@ def test_ideal_height_examples():
     assert ideal_height(ideal((1, 1, 0), (0, 1, 1))) == 1
     assert ideal_height(phan_ideal(fano_lattice())) == 3
     assert ideal_height(graphic_matroid_ideal()) == 2
+    # 40 disjoint edges: the disjoint-support bound prunes the 2^40 branches
+    matching = Graph(80, tuple((2 * k, 2 * k + 1) for k in range(40)))
+    assert ideal_height(edge_ideal(matching)) == 40
 
 
 def test_ideal_height_matches_exhaustive_search():

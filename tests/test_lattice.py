@@ -78,6 +78,11 @@ def test_unsorted_cover_input_is_supported():
     assert L.bottom == 3 and L.top == 0
     assert sorted(atoms(L)) == [1, 2]
     assert is_isomorphic(L, b2())
+    # the chain 0 < 3 < 2 < 1, numbered against its order
+    C = lattice_from_covers(4, [(0, 3), (3, 2), (2, 1)])
+    assert C.bottom == 0 and C.top == 1
+    assert mobius(C, C.bottom, C.top) == 0
+    assert mobius(C, 3, 1) == 0 and mobius(C, 2, 1) == -1
 
 
 def test_mn_lattice_properties():
@@ -129,8 +134,8 @@ def test_mobius_values():
         mobius(L, 1, 2)
 
 
-def test_mobius_row_sums_vanish(lattice_pool):
-    for L in lattice_pool.values():
+def test_mobius_row_sums_vanish(lattice_pool, relabelled_pool):
+    for L in [*lattice_pool.values(), *relabelled_pool.values()]:
         for y in range(L.n):
             for x in range(L.n):
                 if x != y and L.leq(x, y):

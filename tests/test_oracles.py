@@ -325,3 +325,71 @@ def test_top_betti_of_geometric_lattices_is_moebius(lattice_pool):
         top_entry = table.multigraded[(r, LL.labels[LL.top])]
         assert top_entry == abs(mobius(L, L.bottom, L.top)), name
         assert table.pd == r, name
+
+
+
+def _brute_bound(n, x, y, leq):
+    """The bound z of x and y (leq(z, x) and leq(z, y)) that every other
+    such bound is leq to; None when there is no unique one.  With leq the
+    order this is the meet, with leq reversed the join."""
+    bounds = [z for z in range(n) if leq(z, x) and leq(z, y)]
+    best = [z for z in bounds if all(leq(w, z) for w in bounds)]
+    return best[0] if len(best) == 1 else None
+
+
+def test_meet_and_join_tables_match_brute_force_from_leq(lattice_pool, relabelled_pool):
+    lattices = [*lattice_pool.values(), *relabelled_pool.values()]
+    for n in range(2, 6):
+        lattices += [edge_ideal_lattice(graph_from_mask(n, m)) for m in connected_graph_masks(n)]
+    for L in lattices:
+        geq = lambda a, b: L.leq(b, a)  # noqa: E731
+        for x in range(L.n):
+            for y in range(x + 1):
+                assert L.meet_of(x, y) == L.meet_of(y, x) == _brute_bound(L.n, x, y, L.leq)
+                assert L.join_of(x, y) == L.join_of(y, x) == _brute_bound(L.n, x, y, geq)
+        assert all(L.leq(L.bottom, z) and L.leq(z, L.top) for z in range(L.n))
+
+
+def test_not_a_lattice_names_a_pair_without_that_bound():
+    # bounded posets from random covers between a fixed bottom and top,
+    # numbered at random; the order is closed here, not by the library
+    import random
+    import re
+
+    import pytest
+
+    from lcmlat.errors import NotALattice
+    from lcmlat.lattice import lattice_from_covers
+
+    rng = random.Random(13)
+    named = 0
+    for _ in range(600):
+        n = rng.randint(5, 10)
+        covers = {(0, i) for i in range(1, n - 1)} | {(i, n - 1) for i in range(1, n - 1)}
+        covers |= {(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1) if rng.random() < 0.5}
+        perm = rng.sample(range(n), n)
+        covers = [(perm[i], perm[j]) for i, j in sorted(covers)]
+        reach = [[i == j for j in range(n)] for i in range(n)]
+        for i, j in covers:
+            reach[i][j] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        leq = lambda a, b: reach[a][b]  # noqa: E731
+        geq = lambda a, b: reach[b][a]  # noqa: E731
+        lattice = all(
+            _brute_bound(n, x, y, leq) is not None and _brute_bound(n, x, y, geq) is not None
+            for x in range(n) for y in range(n)
+        )
+        if lattice:
+            lattice_from_covers(n, covers)
+            continue
+        with pytest.raises(NotALattice) as err:
+            lattice_from_covers(n, covers)
+        x, y, kind = re.fullmatch(
+            r"elements (\d+) and (\d+) have no unique (meet|join)", str(err.value)
+        ).groups()
+        assert _brute_bound(n, int(x), int(y), leq if kind == "meet" else geq) is None
+        named += 1
+    assert named > 40
