@@ -28,6 +28,7 @@ from .lattice import (
     PropertyReport,
     atoms,
     coatoms,
+    crosscut_complex,
     dual,
     height,
     is_atomic,

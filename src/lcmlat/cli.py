@@ -346,6 +346,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("lcmlat: error: out of memory", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("lcmlat: error: recursion too deep", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -222,12 +222,16 @@ def ideal_height(ideal: MonomialIdeal) -> int:
         if not any(t <= s for t in minimal):
             minimal.append(s)
     best = len(set().union(*minimal)) if minimal else 0
-
-    def branch(unmet, size):
-        nonlocal best
+    # depth-first on an explicit stack; an entry (unmet, v, size) stands for
+    # the supports in unmet that avoid the chosen variable v (None at the root)
+    stack = [(minimal, None, 0)]
+    while stack:
+        unmet, v, size = stack.pop()
+        if v is not None:
+            unmet = [s for s in unmet if v not in s]
         if not unmet:
-            best = size
-            return
+            best = min(best, size)
+            continue
         # pairwise-disjoint supports each need a variable of their own
         bound, taken = size, set()
         for s in unmet:
@@ -235,11 +239,9 @@ def ideal_height(ideal: MonomialIdeal) -> int:
                 taken |= s
                 bound += 1
         if bound >= best:
-            return
-        for v in sorted(unmet[0]):
-            branch([s for s in unmet if v not in s], size + 1)
-
-    branch(minimal, 0)
+            continue
+        for v in sorted(unmet[0], reverse=True):
+            stack.append((unmet, v, size + 1))
     return best
 
 

@@ -543,7 +543,7 @@ def mobius(L: FiniteLattice, x: int, y: int) -> int:
     return mu[y]
 
 
-# -- order complexes ----------------------------------------------------------
+# -- interval complexes -------------------------------------------------------
 
 
 def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
@@ -552,7 +552,8 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
 
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
-    elems = L.interval_elements(lo, hi)
+    # by down-set size, so every chain is an increasing tuple of local indices
+    elems = sorted(L.interval_elements(lo, hi), key=lambda z: _popcount(L.below[z]))
     k = len(elems)
     index_of = {e: i for i, e in enumerate(elems)}
     members = L.strict_above[lo] & L.strict_below[hi]
@@ -574,6 +575,43 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
         frontier = nxt
         d += 1
     return SimplicialComplexData(vertices=tuple(elems), faces_by_dim=faces_by_dim)
+
+
+def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
+    """Crosscut complex of [lo, hi], homotopy equivalent to the order complex
+    of the open interval (lo, hi) by the crosscut theorem.
+
+    Its vertices are the atoms of [lo, hi] (the upper covers of lo below hi)
+    and its faces the sets of atoms whose join is not hi; or, when there are
+    fewer coatoms, the coatoms (the lower covers of hi above lo) and the sets
+    of them whose meet is not lo.  Faces are sorted tuples of indices into
+    ``vertices``, listed in sorted order, empty face included.
+    """
+    from .homology import SimplicialComplexData
+
+    if lo == hi or not L.leq(lo, hi):
+        raise NotComparable(f"need lo < hi, got {lo}, {hi}")
+    atom_mask = L.upper_cover_masks[lo] & L.below[hi]
+    coatom_mask = L.lower_cover_masks[hi] & L.above[lo]
+    if _popcount(coatom_mask) < _popcount(atom_mask):
+        verts, table, start, stop = list(_bits(coatom_mask)), L.meet, hi, lo
+    else:
+        verts, table, start, stop = list(_bits(atom_mask)), L.join, lo, hi
+    k = len(verts)
+    faces_by_dim = {}
+    # depth-first over increasing index tuples, each with the join (meet) of
+    # its vertices; children are pushed last index first, so faces come off
+    # the stack in lexicographic order
+    stack = [((), start)]
+    while stack:
+        face, value = stack.pop()
+        faces_by_dim.setdefault(len(face) - 1, []).append(face)
+        row = table[value]
+        for i in range(k - 1, face[-1] if face else -1, -1):
+            w = row[verts[i]]
+            if w != stop:
+                stack.append((face + (i,), w))
+    return SimplicialComplexData(vertices=tuple(verts), faces_by_dim=faces_by_dim)
 
 
 def open_interval_is_connected(L: FiniteLattice, lo: int, hi: int) -> bool:
@@ -727,18 +765,31 @@ def mi_width(L: FiniteLattice) -> int:
     k = len(mi)
     succ = [[b for b in range(k) if a != b and L.leq(mi[a], mi[b])] for a in range(k)]
     match_right = [-1] * k
-
-    def augment(a, seen):
-        for b in succ[a]:
-            if not seen[b]:
-                seen[b] = True
-                if match_right[b] < 0 or augment(match_right[b], seen):
-                    match_right[b] = a
-                    return True
-        return False
-
     matching = 0
     for a in range(k):
-        if augment(a, [False] * k):
-            matching += 1
+        # depth-first search for an augmenting path from a, on an explicit
+        # stack: path[d] is a left vertex, via[d] the right vertex tried from it
+        seen = 0
+        path, via, pos = [a], [], [0]
+        while path:
+            u = path[-1]
+            if pos[-1] == len(succ[u]):
+                path.pop()
+                pos.pop()
+                if via:
+                    via.pop()
+                continue
+            b = succ[u][pos[-1]]
+            pos[-1] += 1
+            if (seen >> b) & 1:
+                continue
+            seen |= 1 << b
+            via.append(b)
+            if match_right[b] < 0:
+                for u, b in zip(path, via):
+                    match_right[b] = u
+                matching += 1
+                break
+            path.append(match_right[b])
+            pos.append(0)
     return k - matching

@@ -13,13 +13,13 @@ from .homology import reduced_homology_ranks
 from .ideals import MonomialIdeal, Monomial, ideal_height, lcm_lattice
 from .lattice import (
     FiniteLattice,
+    crosscut_complex,
     height,
     is_boolean,
     is_coatomic,
     is_geometric,
     is_lower_semimodular,
     is_strongly_complemented,
-    open_interval_order_complex,
 )
 
 
@@ -90,14 +90,16 @@ def lattice_betti_table(
     L: FiniteLattice, field: FieldSpec | None = None
 ) -> BettiTable:
     """Betti numbers from a labeled LCM lattice: the entry at (i, m) is the
-    rank of reduced homology in dimension i-2 of the open interval below m."""
+    rank of reduced homology in dimension i-2 of the open interval below m,
+    computed on the crosscut complex of [bottom, m], which has the same
+    homology."""
     if L.labels is None:
         raise ValueError("lattice must carry monomial labels")
     multigraded = {(0, L.labels[L.bottom]): 1}
     for m in range(L.n):
         if m == L.bottom:
             continue
-        K = open_interval_order_complex(L, L.bottom, m)
+        K = crosscut_complex(L, L.bottom, m)
         for d, r in reduced_homology_ranks(K, field).items():
             if r:
                 multigraded[(d + 2, L.labels[m])] = r

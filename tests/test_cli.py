@@ -199,7 +199,11 @@ def test_verify_cli_counterexample_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "exc, message",
-    [(KeyboardInterrupt, "interrupted"), (MemoryError, "out of memory")],
+    [
+        (KeyboardInterrupt, "interrupted"),
+        (MemoryError, "out of memory"),
+        (RecursionError, "recursion too deep"),
+    ],
 )
 def test_interrupt_and_memory_error_exit_cleanly(capsys, monkeypatch, tmp_path,
                                                  exc, message):

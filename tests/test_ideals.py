@@ -163,6 +163,9 @@ def test_ideal_height_examples():
     # 40 disjoint edges: the disjoint-support bound prunes the 2^40 branches
     matching = Graph(80, tuple((2 * k, 2 * k + 1) for k in range(40)))
     assert ideal_height(edge_ideal(matching)) == 40
+    # deeper than the default recursion limit: the search keeps its own stack
+    matching = Graph(2200, tuple((2 * k, 2 * k + 1) for k in range(1100)))
+    assert ideal_height(edge_ideal(matching)) == 1100
 
 
 def test_ideal_height_matches_exhaustive_search():

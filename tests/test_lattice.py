@@ -107,6 +107,28 @@ def test_fano_lattice_counts():
     assert is_graded(F)[0]
 
 
+def _fence_lattice(m):
+    """bottom < x_i < x_i' < y_i, y_{i+1} < top for i = 1..m, and
+    bottom < z < y_1.  The meet-irreducibles are the x_i, the y_i and z; the
+    y_i are a widest antichain among them, so mi_width is m + 1.  Ids are
+    x_m, ..., x_1, z, y_1, ..., y_{m+1}: the matching search gives each x_i
+    its y_i, and then z needs an augmenting path through all of them."""
+    x = {i: m - i for i in range(1, m + 1)}
+    y = {i: m + i for i in range(1, m + 2)}
+    xs = {i: 2 * m + 1 + i for i in range(1, m + 1)}
+    z, bottom, top = m, 3 * m + 2, 3 * m + 3
+    covers = [(bottom, z), (z, y[1])] + [(bottom, x[i]) for i in x]
+    covers += [(x[i], xs[i]) for i in x] + [(y[i], top) for i in y]
+    covers += [(xs[i], y[i + d]) for i in x for d in (0, 1)]
+    return lattice_from_covers(3 * m + 4, covers)
+
+
+def test_mi_width_on_a_long_augmenting_path():
+    assert mi_width(_fence_lattice(5)) == 6
+    # longer than the default recursion limit: the search keeps its own stack
+    assert mi_width(_fence_lattice(1000)) == 1001
+
+
 def test_heights():
     assert height(lattice_from_covers(1, [])) == 0
     assert height(edge_ideal_lattice(path(5))) == 4
@@ -162,6 +184,14 @@ def test_open_interval_complexes():
         open_interval_order_complex(L, 1, 1)
     with pytest.raises(NotComparable):
         open_interval_order_complex(L, 1, 2)
+
+
+def test_order_complex_faces_are_sorted_on_relabelled_lattices(relabelled_pool):
+    # element ids need not follow the order; the chains must still come out
+    # as increasing tuples, listed in sorted order
+    for L in relabelled_pool.values():
+        if L.n >= 3:
+            open_interval_order_complex(L, L.bottom, L.top).validate()
 
 
 def test_dual_is_involutive(lattice_pool):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from lcmlat.fields import FieldSpec
+from lcmlat.homology import euler_characteristic, reduced_homology_ranks
 from lcmlat.graphs import (
     complete,
     connected_graph_masks,
@@ -22,12 +23,18 @@ from lcmlat.graphs import (
 )
 from lcmlat.ideals import lcm_lattice
 from lcmlat.lattice import (
+    atoms,
+    coatoms,
+    crosscut_complex,
+    dual,
     is_graded,
     is_lower_semimodular,
     is_modular,
     is_supersolvable,
     is_upper_semimodular,
+    lattice_from_covers,
     mobius,
+    open_interval_order_complex,
 )
 from lcmlat.resolutions import betti_table, lattice_betti_table
 from lcmlat.taylor import taylor_betti
@@ -173,6 +180,43 @@ def test_cycle8_betti_matches_taylor_and_moebius():
             if label == L.labels[m]
         )
         assert euler == mobius(L, L.bottom, m), L.labels[m]
+
+
+def _nonzero_homology(K):
+    return {d: r for d, r in reduced_homology_ranks(K, FieldSpec(0)).items() if r}
+
+
+def test_crosscut_homology_matches_the_order_complex(lattice_pool, relabelled_pool):
+    # crosscut theorem: the crosscut complex of [bottom, m] is homotopy
+    # equivalent to the open interval (bottom, m), so the homology agrees
+    # and the reduced Euler characteristic is mu(bottom, m)
+    lattices = [
+        *lattice_pool.items(),
+        *((f"{name} relabelled", L) for name, L in relabelled_pool.items()),
+        ("L(C8)", lcm_lattice(edge_ideal(cycle(8)))),
+    ]
+    for name, L in lattices:
+        for m in range(L.n):
+            if m == L.bottom:
+                continue
+            K = crosscut_complex(L, L.bottom, m)
+            K.validate()
+            order = open_interval_order_complex(L, L.bottom, m)
+            assert _nonzero_homology(K) == _nonzero_homology(order), (name, m)
+            assert euler_characteristic(K) == mobius(L, L.bottom, m), (name, m)
+
+
+def test_crosscut_complex_takes_the_side_with_fewer_vertices():
+    # atoms 1, 2, 3; coatoms 3 and 4 = 1 v 2.  The open interval is the
+    # component {1, 2, 4} and the point 3, so reduced H_0 has rank 1.
+    L = lattice_from_covers(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+    D = dual(L)
+    assert len(coatoms(L)) < len(atoms(L)) and len(atoms(D)) < len(coatoms(D))
+    for M, side in ((L, coatoms(L)), (D, atoms(D))):
+        K = crosscut_complex(M, M.bottom, M.top)
+        assert K.vertices == tuple(side)
+        assert K.faces_by_dim == {-1: [()], 0: [(0,), (1,)]}
+        assert _nonzero_homology(K) == {0: 1}
 
 
 def test_isomorphism_against_networkx_digraph_matcher(lattice_pool):
