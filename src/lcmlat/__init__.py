@@ -55,6 +55,7 @@ from .lattice import (
 )
 from .homology import (
     SimplicialComplexData,
+    SparseColumns,
     boundary_matrix,
     reduced_homology_ranks,
 )

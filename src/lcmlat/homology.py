@@ -13,9 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
-
-import numpy as np
-import scipy.sparse as sp
+from typing import NamedTuple
 
 from .fields import DEFAULT_PRIME, FieldSpec
 
@@ -46,37 +44,30 @@ class SimplicialComplexData:
         return len(self.faces_by_dim.get(d, ()))
 
     def validate(self):
-        """Check the closure-under-subsets and sortedness invariants."""
+        """Check the closure-under-subsets and sortedness invariants; raise
+        ``ValueError`` on the first violation."""
         for d, faces in self.faces_by_dim.items():
-            assert faces == sorted(set(faces)), f"faces in dim {d} unsorted"
+            if faces != sorted(set(faces)):
+                raise ValueError(f"faces in dim {d} unsorted")
             for f in faces:
-                assert len(f) == d + 1
-                assert list(f) == sorted(f)
+                if len(f) != d + 1:
+                    raise ValueError(f"face {f} in dim {d} has {len(f)} vertices")
+                if list(f) != sorted(f):
+                    raise ValueError(f"face {f} in dim {d} unsorted")
                 if d >= 0:
                     lower = self.faces_by_dim.get(d - 1, ())
                     for k in range(len(f)):
-                        assert f[:k] + f[k + 1 :] in lower, "not subset-closed"
-
-    def to_json(self) -> dict:
-        """Debug serialization: vertices plus face lists keyed by dimension."""
-        return {
-            "vertices": list(self.vertices),
-            "faces": {
-                str(d): [list(f) for f in faces]
-                for d, faces in sorted(self.faces_by_dim.items())
-            },
-        }
+                        if f[:k] + f[k + 1 :] not in lower:
+                            raise ValueError("not subset-closed")
 
 
 def full_simplex_complex(vertices) -> SimplicialComplexData:
     """The full simplex on the given vertices (used in tests)."""
-    import itertools
-
     verts = tuple(vertices)
     k = len(verts)
     faces = {-1: [()]}
     for d in range(k):
-        faces[d] = sorted(itertools.combinations(range(k), d + 1))
+        faces[d] = sorted(combinations(range(k), d + 1))
     return SimplicialComplexData(vertices=verts, faces_by_dim=faces)
 
 
@@ -102,31 +93,44 @@ def complex_from_facets(vertices, facets) -> SimplicialComplexData:
     )
 
 
-def boundary_matrix(K: SimplicialComplexData, d: int) -> sp.csc_matrix:
+class SparseColumns(NamedTuple):
+    """An integer matrix with ``nrows`` rows, stored by column:
+    ``columns[j]`` maps each row index to the non-zero entry of column j."""
+
+    nrows: int
+    columns: list
+
+    @property
+    def shape(self) -> tuple:
+        return self.nrows, len(self.columns)
+
+    @property
+    def nnz(self) -> int:
+        return sum(map(len, self.columns))
+
+
+def boundary_matrix(K: SimplicialComplexData, d: int) -> SparseColumns:
     """Signed boundary map from d-faces to (d-1)-faces; d = 0 gives the
     augmentation onto the empty face."""
     if d < 0:
         raise ValueError("boundary matrices start at dimension 0")
-    cols = K.faces_by_dim.get(d, [])
     rows = K.faces_by_dim.get(d - 1, [])
     row_index = {f: i for i, f in enumerate(rows)}
     # Every column has exactly d + 1 entries.  combinations(f, d) lists the
-    # (d-1)-faces of f with vertex k dropped for k = d, ..., 0, which are the
-    # column's rows in ascending order.
-    indices = np.fromiter(
-        (row_index[g] for f in cols for g in combinations(f, d)),
-        dtype=np.int32,
-        count=(d + 1) * len(cols),
-    )
-    data = np.tile([1 if k % 2 == 0 else -1 for k in range(d, -1, -1)], len(cols))
-    indptr = np.arange(0, (d + 1) * len(cols) + 1, d + 1, dtype=np.int32)
-    return sp.csc_matrix((data, indices, indptr), shape=(len(rows), len(cols)))
+    # (d-1)-faces of f with its k-th vertex dropped for k = d, ..., 0, and
+    # dropping the k-th vertex carries the sign (-1)^k.
+    signs = [1 if k % 2 == 0 else -1 for k in range(d, -1, -1)]
+    columns = [
+        dict(zip(map(row_index.__getitem__, combinations(f, d)), signs))
+        for f in K.faces_by_dim.get(d, [])
+    ]
+    return SparseColumns(len(rows), columns)
 
 
 # -- exact sparse rank ---------------------------------------------------------
 
 
-def sparse_rank(mat: sp.spmatrix, field: FieldSpec) -> int:
+def sparse_rank(mat: SparseColumns, field: FieldSpec) -> int:
     """Exact rank of an integer matrix by column reduction.
 
     Columns are reduced left to right.  While a column is non-empty, its
@@ -138,14 +142,11 @@ def sparse_rank(mat: sp.spmatrix, field: FieldSpec) -> int:
     ``b*col - a*owner`` followed by division by the content.
     """
     p = field.characteristic
-    mat = mat.tocsc()
-    indptr = mat.indptr.tolist()
-    indices = mat.indices.tolist()
-    data = (mat.data % p if p else mat.data).tolist()
     owner = {}
-    for j in range(mat.shape[1]):
-        lo, hi = indptr[j], indptr[j + 1]
-        col = {r: v for r, v in zip(indices[lo:hi], data[lo:hi]) if v}
+    for column in mat.columns:
+        # work on a copy: the reduction rewrites col, and the input columns
+        # are shared between the GF(p) and QQ passes
+        col = {r: w for r, v in column.items() if (w := v % p if p else v)}
         while col:
             low = max(col)
             piv = owner.get(low)
