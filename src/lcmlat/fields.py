@@ -1,8 +1,8 @@
 """Coefficient fields for homology: exact rationals or a prime field GF(p).
 
-This tiny module is the only code shared between the order-complex homology
-route and the Taylor-complex oracle; everything else about the two Betti
-computations is kept on separate code paths on purpose.
+This tiny module is the only code shared between the interval (crosscut)
+homology route and the Taylor-complex oracle; everything else about the two
+Betti computations is kept on separate code paths on purpose.
 """
 
 from __future__ import annotations

@@ -4,24 +4,24 @@ The order is stored as bitset rows (python ints): ``below[j]`` has bit ``i``
 set exactly when ``i <= j``, and ``above`` is its transpose.  Element ids
 are the caller's and need not follow the order.  The meet of a pair is the
 element whose down-set is the intersection of theirs, the join likewise on
-up-sets.  Meet and join tables are dense numpy arrays so that whole-lattice
-property checks (distributivity, semimodularity, complements) can be
-vectorised.
+up-sets.  Meet and join tables are tuples of row tuples, ``L.meet[x][y]``;
+the property checks loop over those rows and the bitsets, in plain Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, gt, lt, ne
+from itertools import compress, count, islice, zip_longest
+from operator import add, and_, eq, gt, lt, ne, not_
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CyclicCovers, NotALattice, NotBounded, NotComparable
 
-#: Hard cap on element count; desk-scale fixtures stay far below it.
-MAX_ELEMENTS = 1 << 20
+#: Hard cap on element count.  The meet and join tables hold 2 * n**2 row
+#: references of 8 bytes each, which a build fills row by row rather than
+#: failing at once; at this cap they take about 1 GiB.
+MAX_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ class FiniteLattice:
         top = with_up_set(reduce(and_, above))
         if top is None:
             raise NotBounded("no unique top element")
-        # both tables are symmetric: fill row i up to the diagonal, and mirror
-        meet = np.empty((n, n), dtype=np.int32)
-        join = np.empty((n, n), dtype=np.int32)
+        # both tables are symmetric: look up row i up to the diagonal, and
+        # complete it from the columns of the rows below
+        low_meet, low_join = [], []
         for i, (bi, ai) in enumerate(zip(below, above)):
             down = [with_down_set(bi & m) for m in below[: i + 1]]
             up = [with_up_set(ai & m) for m in above[: i + 1]]
@@ -135,12 +135,11 @@ class FiniteLattice:
                 j = min(row.index(None) for row in (down, up) if None in row)
                 kind = "meet" if down[j] is None else "join"
                 raise NotALattice(f"elements {i} and {j} have no unique {kind}")
-            meet[i, : i + 1] = meet[: i + 1, i] = down
-            join[i, : i + 1] = join[: i + 1, i] = up
-        meet.flags.writeable = join.flags.writeable = False
+            low_meet.append(down)
+            low_join.append(up)
         return FiniteLattice(
-            tuple(below), tuple(above), meet, join, bottom, top,
-            tuple(labels) if labels is not None else None,
+            tuple(below), tuple(above), _symmetric(low_meet), _symmetric(low_join),
+            bottom, top, tuple(labels) if labels is not None else None,
         )
 
     # -- basic queries ----------------------------------------------------
@@ -149,10 +148,10 @@ class FiniteLattice:
         return bool((self.below[y] >> x) & 1)
 
     def meet_of(self, x: int, y: int) -> int:
-        return int(self.meet[x, y])
+        return self.meet[x][y]
 
     def join_of(self, x: int, y: int) -> int:
-        return int(self.join[x, y])
+        return self.join[x][y]
 
     @cached_property
     def strict_below(self) -> tuple:
@@ -198,9 +197,45 @@ class FiniteLattice:
             ranks[i] = r
         return tuple(ranks)
 
+    @cached_property
+    def graded(self) -> tuple:
+        """``is_graded``'s verdict and witness."""
+        ranks = self.chain_ranks
+        for i, j in self.cover_pairs:
+            if ranks[j] != ranks[i] + 1:
+                return False, (i, j)
+        return True, None
+
+    @cached_property
+    def complement_masks(self) -> tuple:
+        """complement_masks[x] = bitmask of the complements of x.  y meets x
+        in the bottom exactly when no atom lies below both, and joins x to
+        the top exactly when no coatom lies above both."""
+        atom_mask = self.upper_cover_masks[self.bottom]
+        coatom_mask = self.lower_cover_masks[self.top]
+        full = (1 << self.n) - 1
+        out = []
+        for b, a in zip(self.below, self.above):
+            shares = 0
+            for g in _bits(b & atom_mask):
+                shares |= self.above[g]
+            for g in _bits(a & coatom_mask):
+                shares |= self.below[g]
+            out.append(full & ~shares)
+        return tuple(out)
+
     def interval_elements(self, lo: int, hi: int) -> list:
         """Elements strictly between lo and hi, ascending."""
         return list(_bits(self.strict_above[lo] & self.strict_below[hi]))
+
+
+def _symmetric(lower) -> tuple:
+    """Rows of the symmetric table whose row i up to the diagonal is
+    lower[i]; column i from the diagonal down is the transpose of lower."""
+    return tuple(
+        tuple(row[:i]) + col[i:]
+        for i, (row, col) in enumerate(zip(lower, zip_longest(*lower)))
+    )
 
 
 # -- constructors -----------------------------------------------------------
@@ -288,57 +323,54 @@ def height(L: FiniteLattice) -> int:
 def is_graded(L: FiniteLattice):
     """Whether longest-chain ranks step by 1 on every cover; the witness of
     a False verdict is the first cover (i, j) where they do not.  The ranks
-    themselves are ``L.chain_ranks``."""
-    ranks = L.chain_ranks
-    for i, j in L.cover_pairs:
-        if ranks[j] != ranks[i] + 1:
-            return False, (i, j)
-    return True, None
+    themselves are ``L.chain_ranks``; the verdict is computed once per
+    lattice and kept as ``L.graded``."""
+    return L.graded
 
 
 # -- property predicates ------------------------------------------------------
 
 
-def _generated_by(L: FiniteLattice, gens, start: int, combine, order):
-    """Whether every x is the combine-fold, from start, of the generators g
-    with order[g, x] == g; the witness of False is the first x that is not."""
-    acc = np.full(L.n, start, dtype=np.int32)
-    for g in gens:
-        acc = np.where(order[g] == g, combine[acc, g], acc)
-    bad = np.nonzero(acc != np.arange(L.n))[0]
-    if bad.size:
-        return False, (int(bad[0]),)
+def _first(flags, start: int = 0):
+    """Index of the first true flag, counting from start; None if none."""
+    return next(compress(count(start), flags), None)
+
+
+def _generated_by(gens: int, start: int, combine, order):
+    """Whether every x is the combine-fold, from start, of the generators in
+    gens & order[x]; the witness of False is the first x that is not."""
+    for x, mask in enumerate(order):
+        acc = start
+        for g in _bits(gens & mask):
+            acc = combine[acc][g]
+        if acc != x:
+            return False, (x,)
     return True, None
 
 
 def is_atomic(L: FiniteLattice):
-    return _generated_by(L, atoms(L), L.bottom, L.join, L.meet)
+    return _generated_by(L.upper_cover_masks[L.bottom], L.bottom, L.join, L.below)
 
 
 def is_coatomic(L: FiniteLattice):
-    return _generated_by(L, coatoms(L), L.top, L.meet, L.join)
-
-
-def _rank_array(L):
-    if not is_graded(L)[0]:
-        return None
-    return np.asarray(L.chain_ranks, dtype=np.int64)
-
-
-def _pair_witness(bad) -> tuple:
-    xs, ys = np.nonzero(bad)
-    return int(xs[0]), int(ys[0])
+    return _generated_by(L.lower_cover_masks[L.top], L.top, L.meet, L.above)
 
 
 def _rank_identity(L: FiniteLattice, bad_when):
     """Compares rk(x) + rk(y) with rk(x ^ y) + rk(x v y) over all pairs; the
-    witness of False is the first pair where ``bad_when`` holds."""
-    rk = _rank_array(L)
-    if rk is None:
+    witness of False is the first pair, in row order, where ``bad_when``
+    holds."""
+    if not L.graded[0]:
         return False, "not graded"
-    bad = bad_when(rk[:, None] + rk[None, :], rk[L.meet] + rk[L.join])
-    if bad.any():
-        return False, _pair_witness(bad)
+    rk = L.chain_ranks
+    rank = rk.__getitem__
+    for x, (mx, jx) in enumerate(zip(L.meet, L.join)):
+        # the identity is symmetric, so the first bad pair of the first bad
+        # row lies on or above the diagonal
+        sums = map(add, map(rank, mx[x:]), map(rank, jx[x:]))
+        y = _first(map(bad_when, map(rk[x].__add__, rk[x:]), sums), x)
+        if y is not None:
+            return False, (x, y)
     return True, None
 
 
@@ -355,65 +387,71 @@ def is_lower_semimodular(L: FiniteLattice):
 
 
 def is_distributive(L: FiniteLattice):
-    """Triple identity x ^ (y v z) == (x ^ y) v (x ^ z) over all triples."""
-    meet, join = L.meet, L.join
-    for x in range(L.n):
-        mx = meet[x]
-        bad = mx[join] != join[mx[:, None], mx[None, :]]
-        if bad.any():
-            y, z = _pair_witness(bad)
-            return False, (x, y, z)
+    """Triple identity x ^ (y v z) == (x ^ y) v (x ^ z) over all triples;
+    the witness of False is the first bad triple.
+
+    The identity holds exactly when every join-irreducible below some x v y
+    lies below x or below y (then x -> {join-irreducibles below x} embeds L
+    in a power set), which takes pairs only; the triple scan runs when it
+    fails, to find the witness."""
+    below, join = L.below, L.join
+    irreducible = 0
+    for j, covers in enumerate(L.lower_cover_masks):
+        if _popcount(covers) == 1:
+            irreducible |= 1 << j
+    if all(
+        below[v] & irreducible == (bx | by) & irreducible
+        for bx, jx in zip(below, join)
+        for v, by in zip(jx, below)
+    ):
+        return True, None
+    for x, mx in enumerate(L.meet):
+        for y, jy in enumerate(join):
+            # symmetric in y and z, so z runs from y on
+            lhs = map(mx.__getitem__, jy[y:])
+            rhs = map(join[mx[y]].__getitem__, mx[y:])
+            z = _first(map(ne, lhs, rhs), y)
+            if z is not None:
+                return False, (x, y, z)
     return True, None
 
 
-def _complement_table(L) -> np.ndarray:
-    return (L.meet == L.bottom) & (L.join == L.top)
-
-
 def is_complemented(L: FiniteLattice):
-    has = _complement_table(L).any(axis=1)
-    if has.all():
-        return True, None
-    return False, (int(np.nonzero(~has)[0][0]),)
+    x = _first(map(not_, L.complement_masks))
+    return (True, None) if x is None else (False, (x,))
 
 
 def is_uniquely_complemented(L: FiniteLattice):
-    table = _complement_table(L)
-    counts = table.sum(axis=1)
-    bad = counts != 1
-    if not bad.any():
-        return True, None
-    x = int(np.nonzero(bad)[0][0])
-    comps = np.nonzero(table[x])[0]
-    return False, (x, *map(int, comps[:2]))
+    for x, comps in enumerate(L.complement_masks):
+        if _popcount(comps) != 1:
+            return False, (x, *islice(_bits(comps), 2))
+    return True, None
 
 
-def _closure_mask(L, start_mask: int, table: np.ndarray, seed: int) -> int:
-    members = start_mask | (1 << seed)
-    while True:
-        idx = list(_bits(members))
-        new = members
-        for v in set(table[np.ix_(idx, idx)].ravel().tolist()):
-            new |= 1 << v
-        if new == members:
-            return members
-        members = new
+def _closure_mask(gens, table, seed: int) -> int:
+    """Bitmask of seed and of everything the generators reach from it under
+    table: a worklist that combines each newly reached element with each
+    generator."""
+    members = 1 << seed
+    reached = [seed]
+    for v in reached:
+        row = table[v]
+        for g in gens:
+            w = row[g]
+            if not (members >> w) & 1:
+                members |= 1 << w
+                reached.append(w)
+    return members
 
 
 def meet_closure_of_coatoms(L: FiniteLattice) -> int:
     """Bitmask of all meets of coatom subsets (empty meet = top)."""
-    mask = 0
-    for c in coatoms(L):
-        mask |= 1 << c
-    return _closure_mask(L, mask, L.meet, L.top)
+    return _closure_mask(coatoms(L), L.meet, L.top)
 
 
 def join_closure_of_atoms(L: FiniteLattice) -> int:
     """Bitmask of all joins of atom subsets (empty join = bottom)."""
-    mask = 0
-    for a in atoms(L):
-        mask |= 1 << a
-    return _closure_mask(L, mask, L.join, L.bottom)
+    return _closure_mask(atoms(L), L.join, L.bottom)
 
 
 def is_strongly_complemented(L: FiniteLattice):
@@ -421,13 +459,10 @@ def is_strongly_complemented(L: FiniteLattice):
     a join of atoms."""
     mi_mask = meet_closure_of_coatoms(L)
     at_mask = join_closure_of_atoms(L)
-    mi_side = np.fromiter(((mi_mask >> i) & 1 for i in range(L.n)), dtype=bool, count=L.n)
-    at_side = np.fromiter(((at_mask >> i) & 1 for i in range(L.n)), dtype=bool, count=L.n)
-    compl = _complement_table(L)
-    ok = (compl & mi_side[None, :]).any(axis=1) & (compl & at_side[None, :]).any(axis=1)
-    if ok.all():
-        return True, None
-    return False, (int(np.nonzero(~ok)[0][0]),)
+    for x, comps in enumerate(L.complement_masks):
+        if not (comps & mi_mask and comps & at_mask):
+            return False, (x,)
+    return True, None
 
 
 def is_boolean(L: FiniteLattice):
@@ -449,12 +484,14 @@ def is_geometric(L: FiniteLattice):
 def modular_elements_mask(L: FiniteLattice) -> int:
     """Elements m with rk(x) + rk(m) == rk(x ^ m) + rk(x v m) for every x;
     the lattice must be graded."""
-    rk = _rank_array(L)
-    if rk is None:
+    if not L.graded[0]:
         raise NotComparable("modular elements need a graded lattice")
+    rk = L.chain_ranks
+    rank = rk.__getitem__
     mask = 0
-    for m in range(L.n):
-        if (rk + rk[m] == rk[L.meet[m]] + rk[L.join[m]]).all():
+    for m, (mm, jm) in enumerate(zip(L.meet, L.join)):
+        sums = map(add, map(rank, mm), map(rank, jm))
+        if all(map(eq, map(rk[m].__add__, rk), sums)):
             mask |= 1 << m
     return mask
 
@@ -462,8 +499,7 @@ def modular_elements_mask(L: FiniteLattice) -> int:
 def is_supersolvable(L: FiniteLattice):
     """Searches for a maximal chain of modular elements; the witness of a
     True verdict is that chain."""
-    ok, _ = is_graded(L)
-    if not ok:
+    if not L.graded[0]:
         return False, "not graded"
     mod = modular_elements_mask(L)
     if not (mod >> L.bottom) & 1:
@@ -486,23 +522,27 @@ def is_supersolvable(L: FiniteLattice):
 
 
 def property_report(L: FiniteLattice) -> PropertyReport:
-    checks = {
-        "atomic": is_atomic,
-        "coatomic": is_coatomic,
-        "graded": is_graded,
-        "modular": is_modular,
-        "upper_semimodular": is_upper_semimodular,
-        "lower_semimodular": is_lower_semimodular,
-        "supersolvable": is_supersolvable,
-        "distributive": is_distributive,
-        "boolean": is_boolean,
-        "geometric": is_geometric,
-        "complemented": is_complemented,
-        "strongly_complemented": is_strongly_complemented,
-        "uniquely_complemented": is_uniquely_complemented,
+    """Every predicate once; boolean and geometric are read off their two
+    components, with the first failing one's witness."""
+    atomic, usm = is_atomic(L), is_upper_semimodular(L)
+    distributive, complemented = is_distributive(L), is_complemented(L)
+    entries = {
+        "atomic": atomic,
+        "coatomic": is_coatomic(L),
+        "graded": L.graded,
+        "modular": is_modular(L),
+        "upper_semimodular": usm,
+        "lower_semimodular": is_lower_semimodular(L),
+        "supersolvable": is_supersolvable(L),
+        "distributive": distributive,
+        "boolean": complemented if distributive[0] else distributive,
+        "geometric": usm if atomic[0] else atomic,
+        "complemented": complemented,
+        "strongly_complemented": is_strongly_complemented(L),
+        "uniquely_complemented": is_uniquely_complemented(L),
     }
     return PropertyReport(
-        (name, PropertyVerdict(*fn(L))) for name, fn in checks.items()
+        (name, PropertyVerdict(*v)) for name, v in entries.items()
     )
 
 
@@ -519,7 +559,7 @@ def validate_labels(L: FiniteLattice) -> None:
                 raise NotALattice(
                     f"labels of {x} and {y} disagree with the order"
                 )
-            if labs[int(L.join[x, y])] != labs[x].lcm(labs[y]):
+            if labs[L.join[x][y]] != labs[x].lcm(labs[y]):
                 raise NotALattice(
                     f"label of join({x}, {y}) is not the lcm of the labels"
                 )

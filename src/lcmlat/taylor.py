@@ -3,17 +3,15 @@
 Builds the full exterior-algebra complex on the generators, restricts to one
 multidegree at a time (keeping only subsets whose lcm equals it, and only the
 differential terms whose coefficient is a unit), and takes ranks of the tiny
-dense matrices.  Nothing here touches the lattice or order-complex machinery;
-only the field conventions are shared, so the two Betti routes fail in
-uncorrelated ways.
+sparse matrices by its own Gaussian elimination.  Nothing here touches the
+lattice or interval-homology machinery; only the field conventions are
+shared, so the two Betti routes fail in uncorrelated ways.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from .errors import ResourceLimit
 from .fields import FieldSpec
@@ -22,62 +20,35 @@ from .ideals import Monomial, MonomialIdeal
 MAX_GENERATORS = 16
 
 
-def _dense_rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = np.mod(mat.astype(np.int64), p)
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                pivot = r
+def _rank(columns, field: FieldSpec) -> int:
+    """Rank of the matrix with the given {row: entry} columns, by Gaussian
+    elimination: each column is cleared against the stored pivot columns,
+    always at its first non-zero coordinate, and is stored as the pivot of
+    that coordinate (scaled to 1 there) when no pivot owns it yet.  Over
+    GF(p) the entries are kept mod p, over QQ they are Fractions."""
+    p = field.characteristic
+    pivots = {}
+    for column in columns:
+        col = {r: w for r, v in column.items() if (w := v % p if p else Fraction(v))}
+        while col:
+            first = min(col)
+            piv = pivots.get(first)
+            if piv is None:
+                inv = pow(col[first], p - 2, p) if p else 1 / col[first]
+                pivots[first] = {
+                    r: v * inv % p if p else v * inv for r, v in col.items()
+                }
                 break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        for r in range(rows):
-            if r != rank and a[r, c]:
-                a[r] = (a[r] - a[r, c] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _dense_rank_rational(mat: np.ndarray) -> int:
-    rows = [[Fraction(int(v)) for v in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank(mat: np.ndarray, field: FieldSpec) -> int:
-    if mat.size == 0:
-        return 0
-    if field.characteristic:
-        return _dense_rank_mod_p(mat, field.characteristic)
-    return _dense_rank_rational(mat)
+            f = col[first]
+            for r, v in piv.items():
+                w = col.get(r, 0) - f * v
+                if p:
+                    w %= p
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 def taylor_betti(ideal: MonomialIdeal, field: FieldSpec) -> dict:
@@ -108,14 +79,15 @@ def taylor_betti(ideal: MonomialIdeal, field: FieldSpec) -> dict:
         }
         ranks = {}
         for size, cols in by_size.items():
-            targets = by_size.get(size - 1, [])
-            mat = np.zeros((len(targets), len(cols)), dtype=np.int64)
-            for j, sigma in enumerate(cols):
+            columns = []
+            for sigma in cols:
+                col = {}
                 for pos in range(size):
                     tau = sigma[:pos] + sigma[pos + 1 :]
                     if lcm_of[tau] == exps:
-                        mat[index[tau], j] = 1 if pos % 2 == 0 else -1
-            ranks[size] = _rank(mat, field)
+                        col[index[tau]] = 1 if pos % 2 == 0 else -1
+                columns.append(col)
+            ranks[size] = _rank(columns, field)
         for size, cols in by_size.items():
             betti = len(cols) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             if betti:

@@ -4,6 +4,7 @@ ideals, and the constructed lattice fixtures."""
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from multiprocessing import Pool
 
 from . import constructions as cons
 from . import formats
-from .errors import BadTheoremId, ContractViolation
+from .errors import BadParameter, BadTheoremId, ContractViolation
 from .fields import DEFAULT_PRIME, FieldSpec
 from .graphs import (
     Graph,
@@ -572,6 +573,13 @@ def run_cases(ids, *, max_n=6, seed=0, char=None, jobs=1, count=None):
     for i in ids:
         if i not in CATALOG:
             raise BadTheoremId(f"unknown case {i!r}; have {sorted(CATALOG)}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise BadParameter(f"jobs {jobs} out of range 1..{cpus}")
+    if not 2 <= max_n <= 7:
+        raise BadParameter(f"max_n {max_n} out of range 2..7")
+    if count is not None and count < 1:
+        raise BadParameter(f"count {count} must be at least 1")
     graph_ids = [i for i in ids if i in GRAPH_CASES]
     results = {}
     if graph_ids:

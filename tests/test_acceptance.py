@@ -8,6 +8,7 @@ criteria that quantify over all connected graphs on at most 6 vertices.
 from __future__ import annotations
 
 import io
+import os
 import time
 
 import pytest
@@ -37,7 +38,7 @@ from lcmlat.verify import (
     verify,
 )
 
-JOBS = 4
+JOBS = min(4, os.cpu_count() or 1)
 
 
 def report(num, name, ok, detail=""):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
@@ -181,6 +182,43 @@ def test_cli_usage_and_input_errors(capsys, monkeypatch, tmp_path):
     assert cli.main(["ideal", "pd", str(tmp_path / "missing.ideal")]) == 1
     capsys.readouterr()
     assert cli.main(["make", "fixture", "--id", "nope"]) == 1
+
+
+def test_ideal_lcm_over_the_element_cap_exits_1(capsys, tmp_path):
+    f = tmp_path / "boolean14.ideal"
+    f.write_text("".join(f"x{i}\n" for i in range(1, 15)))
+    code, out, err = run(capsys, ["ideal", "lcm", str(f)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coatomic", "--max-n", "4", "--jobs", "0"],
+        ["coatomic", "--max-n", "4", "--jobs", str((os.cpu_count() or 1) + 1)],
+        ["coatomic", "--max-n", "4", "--jobs", "100000"],
+        ["pd-height-bound", "--max-n", "1"],
+        ["pd-height-bound", "--max-n", "8"],
+        ["pd-height-bound", "--count", "0"],
+        ["pd-height-bound", "--count", "-3"],
+    ],
+)
+def test_verify_rejects_out_of_range_options(capsys, monkeypatch, args):
+    import sys
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    # a broken guard must fail here, not start worker processes
+    # (lcmlat.verify the name is the function; the module is in sys.modules)
+    monkeypatch.setattr(sys.modules["lcmlat.verify"], "Pool", no_pool)
+    code, out, err = run(capsys, ["verify", *args])
+    assert code == 1
+    assert out == ""
+    option = args[-2].lstrip("-").replace("-", "_")
+    assert err.startswith(f"lcmlat: error: {option} {args[-1]} ")
 
 
 def test_verify_cli_counterexample_exit_code(capsys, monkeypatch):

@@ -129,8 +129,8 @@ def test_full_simplex_is_acyclic():
 def test_sparse_rank_matches_numpy():
     # random sparse integer matrices of every shape, with zero, repeated and
     # dependent columns and entries that vanish mod p, against independent
-    # dense ranks
-    from lcmlat.taylor import _dense_rank_mod_p
+    # ranks: numpy's over QQ, the Taylor oracle's own elimination over GF(p)
+    from lcmlat.taylor import _rank
 
     rng = np.random.default_rng(11)
     for trial in range(300):
@@ -153,7 +153,7 @@ def test_sparse_rank_matches_numpy():
         expected = np.linalg.matrix_rank(a.astype(float)) if a.size else 0
         assert sparse_rank(mat, FieldSpec(0)) == expected, a
         for p in (2, 3, 32003):
-            expected = _dense_rank_mod_p(a, p) if a.size else 0
+            expected = _rank(mat.columns, FieldSpec(p))
             assert sparse_rank(mat, FieldSpec(p)) == expected, (p, a)
 
 
@@ -233,10 +233,11 @@ def test_validate_raises_without_asserts():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_numpy_or_scipy():
     code = (
         "import sys, lcmlat\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0].startswith(('numpy', 'scipy'))))\n"
     )
     proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -60,6 +60,33 @@ def test_two_maximal_elements_rejected():
         lattice_from_covers(4, [(0, 1), (1, 2), (0, 3)])
 
 
+def test_element_cap_fails_before_any_table(monkeypatch):
+    import lcmlat.lattice as lattice_module
+    from lcmlat.errors import TooLarge
+    from lcmlat.formats import parse_ideal
+    from lcmlat.ideals import lcm_lattice
+    from lcmlat.lattice import MAX_ELEMENTS, FiniteLattice
+
+    chain91 = lattice_from_covers(91, [(i, i + 1) for i in range(90)])
+    boolean14 = parse_ideal("".join(f"x{i}\n" for i in range(1, 15)))
+    assert 91 * 91 > MAX_ELEMENTS and 1 << 14 > MAX_ELEMENTS
+
+    # every build transposes its down-sets before it fills the meet and join
+    # tables, so a call here means a build got past the cap
+    def no_build(out):
+        raise AssertionError("a lattice build started")
+
+    monkeypatch.setattr(lattice_module, "_transpose", no_build)
+    with pytest.raises(NotBounded):
+        lattice_from_covers(MAX_ELEMENTS + 1, [])
+    with pytest.raises(NotBounded):
+        FiniteLattice.from_below_masks([1] * (MAX_ELEMENTS + 1))
+    with pytest.raises(NotBounded):
+        product(chain91, chain91)
+    with pytest.raises(TooLarge):
+        lcm_lattice(boolean14)
+
+
 def test_cyclic_covers_rejected():
     with pytest.raises(CyclicCovers):
         lattice_from_covers(3, [(0, 1), (1, 2), (2, 0)])
@@ -249,7 +276,7 @@ def test_meet_join_algebra(lattice_pool):
     for L in lattice_pool.values():
         if L.n > 64:
             continue
-        m, j = L.meet, L.join
+        m, j = np.array(L.meet), np.array(L.join)
         assert (m == m.T).all() and (j == j.T).all()
         # absorption: x ^ (x v y) == x == x v (x ^ y)
         idx = np.arange(L.n)[:, None]
@@ -324,8 +351,8 @@ def test_from_below_masks_handles_shuffled_indices(lattice_pool):
         assert is_isomorphic(R, L), name
         for x in range(L.n):
             for y in range(L.n):
-                assert R.meet[perm[x], perm[y]] == perm[L.meet[x, y]]
-                assert R.join[perm[x], perm[y]] == perm[L.join[x, y]]
+                assert R.meet[perm[x]][perm[y]] == perm[L.meet[x][y]]
+                assert R.join[perm[x]][perm[y]] == perm[L.join[x][y]]
 
 
 def test_false_witnesses_violate_definitions_exactly(lattice_pool):

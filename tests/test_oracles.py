@@ -27,12 +27,20 @@ from lcmlat.lattice import (
     coatoms,
     crosscut_complex,
     dual,
+    is_atomic,
+    is_coatomic,
+    is_complemented,
+    is_distributive,
     is_graded,
     is_lower_semimodular,
     is_modular,
+    is_strongly_complemented,
     is_supersolvable,
+    is_uniquely_complemented,
     is_upper_semimodular,
+    join_closure_of_atoms,
     lattice_from_covers,
+    meet_closure_of_coatoms,
     mobius,
     open_interval_order_complex,
 )
@@ -217,6 +225,93 @@ def test_crosscut_complex_takes_the_side_with_fewer_vertices():
         assert K.vertices == tuple(side)
         assert K.faces_by_dim == {-1: [()], 0: [(0,), (1,)]}
         assert _nonzero_homology(K) == {0: 1}
+
+
+def _complements(L, x):
+    """Every y with x ^ y = bottom and x v y = top."""
+    return [
+        y for y in range(L.n)
+        if L.meet_of(x, y) == L.bottom and L.join_of(x, y) == L.top
+    ]
+
+
+def _subset_bounds(L, gens, start, combine):
+    """Bitmask of combine-folds, from start, of every subset of gens: each
+    generator in turn is added to, or left out of, every fold so far."""
+    folds = {start}
+    for g in gens:
+        folds |= {combine(v, g) for v in folds}
+    return sum(1 << v for v in folds)
+
+
+def _first_bad(items, holds):
+    """(False, the first item where holds fails), or (True, None): the
+    library's verdict and witness."""
+    bad = next((item for item in items if not holds(*item)), None)
+    return (True, None) if bad is None else (False, bad)
+
+
+def _generated(x, gens, start, combine, below):
+    """Whether x is the combine-fold, from start, of the gens below it."""
+    acc = start
+    for g in gens:
+        if below(g, x):
+            acc = combine(acc, g)
+    return acc == x
+
+
+def _predicate_lattices(lattice_pool, relabelled_pool):
+    yield from lattice_pool.items()
+    yield from ((f"{name} relabelled", L) for name, L in relabelled_pool.items())
+    for n in range(2, 6):
+        for mask in connected_graph_masks(n):
+            yield f"graph {n}:{mask}", edge_ideal_lattice(graph_from_mask(n, mask))
+
+
+def test_complement_and_generation_predicates_match_definitions(
+    lattice_pool, relabelled_pool
+):
+    # verdicts and witnesses of the bitset predicates against their
+    # definitions, written with meet_of and join_of only
+    for name, L in _predicate_lattices(lattice_pool, relabelled_pool):
+        elems = range(L.n)
+        singles = [(x,) for x in elems]
+        comps = [_complements(L, x) for x in elems]
+        at, co = atoms(L), coatoms(L)
+        joins = _subset_bounds(L, at, L.bottom, L.join_of)
+        meets = _subset_bounds(L, co, L.top, L.meet_of)
+        assert join_closure_of_atoms(L) == joins, name
+        assert meet_closure_of_coatoms(L) == meets, name
+
+        assert is_complemented(L) == _first_bad(singles, lambda x: comps[x]), name
+        x = next((x for x in elems if len(comps[x]) != 1), None)
+        assert is_uniquely_complemented(L) == (
+            (True, None) if x is None else (False, (x, *comps[x][:2]))
+        ), name
+        assert is_strongly_complemented(L) == _first_bad(
+            singles,
+            lambda x: any((joins >> y) & 1 for y in comps[x])
+            and any((meets >> y) & 1 for y in comps[x]),
+        ), name
+
+        assert is_atomic(L) == _first_bad(
+            singles, lambda x: _generated(x, at, L.bottom, L.join_of, L.leq)
+        ), name
+        assert is_coatomic(L) == _first_bad(
+            singles,
+            lambda x: _generated(x, co, L.top, L.meet_of, lambda g, x: L.leq(x, g)),
+        ), name
+        assert is_distributive(L) == _first_bad(
+            ((x, y, z) for x in elems for y in elems for z in elems),
+            lambda x, y, z: L.meet_of(x, L.join_of(y, z))
+            == L.join_of(L.meet_of(x, y), L.meet_of(x, z)),
+        ), name
+
+
+def test_complement_masks_match_the_definition(lattice_pool, relabelled_pool):
+    for name, L in _predicate_lattices(lattice_pool, relabelled_pool):
+        expected = tuple(sum(1 << y for y in _complements(L, x)) for x in range(L.n))
+        assert L.complement_masks == expected, name
 
 
 def test_isomorphism_against_networkx_digraph_matcher(lattice_pool):
