@@ -99,6 +99,6 @@ from .resolutions import (
     taylor_is_minimal,
 )
 from .taylor import taylor_betti
-from .verify import CATALOG, TheoremCase, VerificationResult, verify
+from .verify import CATALOG, VerificationResult
 
 __version__ = "0.1.0"

@@ -55,16 +55,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] >> v) & 1)
 
-    def complement(self) -> "Graph":
-        return Graph(
-            self.n,
-            tuple(
-                (u, v)
-                for u, v in itertools.combinations(range(self.n), 2)
-                if not self.has_edge(u, v)
-            ),
-        )
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
@@ -162,28 +152,6 @@ def is_gap_free(G: Graph) -> bool:
     for quad in itertools.combinations(range(G.n), 4):
         es = _induced_edges(G, quad)
         if len(es) == 2 and not set(es[0]) & set(es[1]):
-            return False
-    return True
-
-
-def is_c4_free(G: Graph) -> bool:
-    for quad in itertools.combinations(range(G.n), 4):
-        es = _induced_edges(G, quad)
-        if len(es) == 4 and all(
-            sum(v in e for e in es) == 2 for v in quad
-        ):
-            return False
-    return True
-
-
-def complement_is_c4_free(G: Graph) -> bool:
-    return is_c4_free(G.complement())
-
-
-def is_diamond_free(G: Graph) -> bool:
-    """No induced complete-minus-one-edge on 4 vertices."""
-    for quad in itertools.combinations(range(G.n), 4):
-        if len(_induced_edges(G, quad)) == 5:
             return False
     return True
 

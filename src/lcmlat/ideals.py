@@ -49,9 +49,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(map(max, self.exps, other.exps)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(min, self.exps, other.exps)))
-
     def support(self) -> tuple:
         return tuple(i for i, e in enumerate(self.exps) if e)
 
@@ -69,12 +66,6 @@ class Monomial:
 
 def unit(nvars: int) -> Monomial:
     return Monomial((0,) * nvars)
-
-
-def variable(i: int, nvars: int, power: int = 1) -> Monomial:
-    exps = [0] * nvars
-    exps[i] = power
-    return Monomial(tuple(exps))
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,8 @@ class BettiTable:
     def pd(self) -> int:
         return max(i for (i, _m) in self.multigraded)
 
-    def graded_entry(self, i: int, j: int) -> int:
-        return self.graded.get((i, j), 0)
-
     def column_degrees(self, i: int) -> list:
         return sorted(j for (ii, j), r in self.graded.items() if ii == i and r)
-
-    def total(self, i: int) -> int:
-        return sum(r for (ii, _), r in self.multigraded.items() if ii == i)
 
     def render_text(self) -> str:
         """Betti-table layout: columns are homological degrees, row labels

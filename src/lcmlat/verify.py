@@ -4,6 +4,7 @@ ideals, and the constructed lattice fixtures."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
@@ -41,6 +42,8 @@ from .ideals import (
 from .lattice import (
     FiniteLattice,
     height,
+    is_atomic,
+    is_complemented,
     is_graded,
     is_isomorphic,
     is_strongly_complemented,
@@ -104,24 +107,6 @@ CATALOG = {
     "polarization-invariance": "polarization preserves the LCM lattice up "
     "to isomorphism",
 }
-
-
-@dataclass(frozen=True)
-class TheoremCase:
-    id: str
-    max_n: int = 6
-    seed: int = 0
-    char: int | None = None
-    jobs: int = 1
-    count: int | None = None
-
-    def __post_init__(self):
-        if self.id not in CATALOG:
-            raise BadTheoremId(f"unknown case {self.id!r}; have {sorted(CATALOG)}")
-
-    @property
-    def field(self) -> FieldSpec:
-        return FieldSpec(self.char if self.char is not None else DEFAULT_PRIME)
 
 
 @dataclass
@@ -232,17 +217,6 @@ def _sweep_graphs(max_n: int, jobs: int):
     return total, found
 
 
-def _run_graph_cases(ids, case: TheoremCase):
-    total, found = _sweep_graphs(case.max_n, case.jobs)
-    out = {i: VerificationResult(i, total) for i in ids}
-    for case_id, graph_json, detail in found:
-        if case_id in out:
-            out[case_id].counterexamples.append(
-                {"graph": graph_json, "detail": _plain(detail)}
-            )
-    return out
-
-
 def _plain(obj):
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
@@ -306,10 +280,8 @@ def _ideal_ce(name, ideal, detail):
     return {"instance": name, "ideal": formats.ideal_to_json(ideal), "detail": detail}
 
 
-def _bound_violations(name, ideal, table, L=None):
+def _bound_violations(name, ideal, table, L):
     """pd <= lattice height and pd <= meet-irreducible width."""
-    if L is None:
-        L = lcm_lattice(ideal)
     out = []
     if table.pd > height(L):
         out.append(_ideal_ce(name, ideal, f"pd {table.pd} > height {height(L)}"))
@@ -319,116 +291,105 @@ def _bound_violations(name, ideal, table, L=None):
 
 
 # -- individual cases ---------------------------------------------------------------
+#
+# Each runner takes (seed, count, field) and returns (instances checked,
+# counterexamples); run_cases wraps that in a VerificationResult.
 
 
-def _run_special_families(case: TheoremCase) -> VerificationResult:
-    res = VerificationResult(case.id, 0)
-
-    def expect(name, got, want):
-        res.instances_checked += 1
-        if got != want:
-            res.counterexamples.append(
-                {"instance": name, "detail": f"got {got}, expected {want}"}
-            )
-
+def _run_special_families(seed, count, field):
+    checks = []  # (instance, got, expected)
     for n in range(2, 9):
         L = edge_ideal_lattice(path(n))
-        expect(f"P{n} graded", is_graded(L)[0], n <= 4)
+        checks.append((f"P{n} graded", is_graded(L)[0], n <= 4))
     for n in range(2, 10):
         L = edge_ideal_lattice(path(n))
-        expect(f"P{n} complemented", property_report(L).verdict("complemented"),
-               n % 3 != 1)
+        checks.append((f"P{n} complemented", is_complemented(L)[0], n % 3 != 1))
     for n in range(3, 9):
         L = edge_ideal_lattice(cycle(n))
-        expect(f"C{n} graded", is_graded(L)[0], n <= 5)
-        expect(f"C{n} complemented", property_report(L).verdict("complemented"), True)
+        checks.append((f"C{n} graded", is_graded(L)[0], n <= 5))
+        checks.append((f"C{n} complemented", is_complemented(L)[0], True))
     for n in range(2, 7):
         L = edge_ideal_lattice(complete(n))
         graded_ok = is_graded(L)[0]
-        expect(f"K{n} graded", graded_ok, True)
-        expect(f"K{n} complemented", property_report(L).verdict("complemented"), True)
-        pd = lattice_betti_table(L, case.field).pd
-        expect(f"K{n} pd", pd, n - 1)
-        expect(f"K{n} rank", height(L) if graded_ok else None, n - 1)
-    return res
+        checks.append((f"K{n} graded", graded_ok, True))
+        checks.append((f"K{n} complemented", is_complemented(L)[0], True))
+        checks.append((f"K{n} pd", lattice_betti_table(L, field).pd, n - 1))
+        checks.append((f"K{n} rank", height(L) if graded_ok else None, n - 1))
+    return len(checks), [
+        {"instance": name, "detail": f"got {got}, expected {want}"}
+        for name, got, want in checks
+        if got != want
+    ]
 
 
-def _run_pd_height_bound(case: TheoremCase) -> VerificationResult:
-    rng = random.Random(case.seed)
-    count = case.count or 200
-    res = VerificationResult(case.id, count)
+def _run_pd_height_bound(seed, count, field):
+    rng = random.Random(seed)
+    count = count or 200
+    found = []
     for k in range(count):
         ideal = random_ideal(rng, 5, 5, 3)
         L = lcm_lattice(ideal)
-        table = lattice_betti_table(L, case.field)
-        res.counterexamples.extend(_bound_violations(f"seeded#{k}", ideal, table, L))
-    return res
+        table = lattice_betti_table(L, field)
+        found.extend(_bound_violations(f"seeded#{k}", ideal, table, L))
+    return count, found
 
 
-def _run_boolean_equivalence(case: TheoremCase) -> VerificationResult:
-    rng = random.Random(case.seed)
-    count = case.count or 500
-    res = VerificationResult(case.id, count)
+def _run_boolean_equivalence(seed, count, field):
+    rng = random.Random(seed)
+    count = count or 500
+    found = []
     for k in range(count):
         ideal = random_ideal(rng, 6, 6, 4)
         L = lcm_lattice(ideal)
-        table = lattice_betti_table(L, case.field)
+        table = lattice_betti_table(L, field)
         four = boolean_equivalence(ideal, L, table)
         if not four.all_agree():
-            res.counterexamples.append(_ideal_ce(f"seeded#{k}", ideal, str(four)))
-        res.counterexamples.extend(_bound_violations(f"seeded#{k}", ideal, table, L))
-    return res
+            found.append(_ideal_ce(f"seeded#{k}", ideal, str(four)))
+        found.extend(_bound_violations(f"seeded#{k}", ideal, table, L))
+    return count, found
 
 
-def _run_phan_roundtrip(case: TheoremCase) -> VerificationResult:
-    from .lattice import is_atomic
-
-    rng = random.Random(case.seed)
-    count = case.count or 200
-    res = VerificationResult(case.id, 0)
+def _run_phan_roundtrip(seed, count, field):
+    rng = random.Random(seed)
     pools = []
-    for k in range(count):
+    for k in range(count or 200):
         ideal = random_ideal(rng, 5, 5, 3)
         pools.append((f"seeded#{k}", lcm_lattice(ideal)))
     for name, L in fixture_lattices().items():
         if is_atomic(L)[0] and L.n > 1:
             pools.append((name, L))
+    found = []
     for name, L in pools:
-        res.instances_checked += 1
         ideal = phan_ideal(L)
         if not is_isomorphic(lcm_lattice(ideal), L):
-            res.counterexamples.append(
+            found.append(
                 {"instance": name, "detail": "round trip lost the lattice",
                  "ideal": formats.ideal_to_json(ideal)}
             )
         elif not is_minimal_ideal(ideal):
-            res.counterexamples.append(
-                {"instance": name, "detail": "canonical ideal not minimal"}
-            )
-    return res
+            found.append({"instance": name, "detail": "canonical ideal not minimal"})
+    return len(pools), found
 
 
-def _run_modular_cm(case: TheoremCase) -> VerificationResult:
-    res = VerificationResult(case.id, 0)
-    for name, L in modular_fixture_lattices().items():
-        res.instances_checked += 1
+def _run_modular_cm(seed, count, field):
+    pool = modular_fixture_lattices()
+    found = []
+    for name, L in pool.items():
         rep = property_report(L)
         if not rep.verdict("modular"):
-            res.counterexamples.append(
-                {"instance": name, "detail": "fixture not modular"}
-            )
+            found.append({"instance": name, "detail": "fixture not modular"})
             continue
         ideal = phan_ideal(L)
-        pd = lattice_betti_table(lcm_lattice(ideal), case.field).pd
+        pd = lattice_betti_table(lcm_lattice(ideal), field).pd
         ht = ideal_height(ideal)
         if pd != ht:
-            res.counterexamples.append(
+            found.append(
                 _ideal_ce(name, ideal, f"not Cohen-Macaulay: pd {pd}, height {ht}")
             )
-    return res
+    return len(pool), found
 
 
-def _geometric_pd_pool(case: TheoremCase):
+def _geometric_pd_pool(seed, count):
     pool = [
         ("fano", phan_ideal(cons.fano_lattice())),
         ("graphic-matroid", cons.graphic_matroid_ideal()),
@@ -441,25 +402,24 @@ def _geometric_pd_pool(case: TheoremCase):
         pool.append((f"K{n}", edge_ideal(complete(n))))
     for n in range(3, 7):
         pool.append((f"St{n}", edge_ideal(star(n))))
-    rng = random.Random(case.seed)
-    for k in range(case.count or 100):
+    rng = random.Random(seed)
+    for k in range(count or 100):
         pool.append((f"seeded#{k}", random_ideal(rng, 5, 5, 3)))
     return pool
 
 
-def _run_geometric_pd(case: TheoremCase) -> VerificationResult:
-    res = VerificationResult(case.id, 0)
-    for name, ideal in _geometric_pd_pool(case):
-        res.instances_checked += 1
+def _run_geometric_pd(seed, count, field):
+    pool = _geometric_pd_pool(seed, count)
+    found = []
+    for name, ideal in pool:
         try:
-            pd_vs_height_report(ideal, case.field)
+            pd_vs_height_report(ideal, field)
         except ContractViolation as exc:
-            res.counterexamples.append(_ideal_ce(name, ideal, str(exc)))
-    return res
+            found.append(_ideal_ce(name, ideal, str(exc)))
+    return len(pool), found
 
 
-def _run_strongly_complemented(case: TheoremCase) -> VerificationResult:
-    res = VerificationResult(case.id, 0)
+def _run_strongly_complemented(seed, count, field):
     instances = []
     for n in range(2, 6):
         for mask in connected_graph_masks(n):
@@ -467,18 +427,18 @@ def _run_strongly_complemented(case: TheoremCase) -> VerificationResult:
             instances.append((f"graph n={n} mask={mask}", edge_ideal(G)))
     for name in ("fig5", "fig6", "bipartite-cm"):
         instances.append((name, edge_ideal(graph_fixture(name))))
-    rng = random.Random(case.seed)
-    for k in range(case.count or 100):
+    rng = random.Random(seed)
+    for k in range(count or 100):
         instances.append((f"seeded#{k}", random_ideal(rng, 5, 5, 3)))
+    found = []
     for name, ideal in instances:
-        res.instances_checked += 1
         L = lcm_lattice(ideal)
-        pd = lattice_betti_table(L, case.field).pd
+        pd = lattice_betti_table(L, field).pd
         if pd == height(L) and not is_strongly_complemented(L)[0]:
-            res.counterexamples.append(
+            found.append(
                 _ideal_ce(name, ideal, "pd == height but not strongly complemented")
             )
-    return res
+    return len(instances), found
 
 
 _PRODUCT_PROPERTIES = (
@@ -496,24 +456,21 @@ _PRODUCT_PROPERTIES = (
 )
 
 
-def _run_product_lemma(case: TheoremCase) -> VerificationResult:
-    import itertools
-
-    res = VerificationResult(case.id, 0)
+def _run_product_lemma(seed, count, field):
     pool = fixture_lattices()
     names = [
         "one-point", "chain3", "B2", "M3", "M5", "fano", "S(3,2)",
         "L(P4)", "L(P5)", "L(C4)", "L(C5)", "L(K4)",
     ]
-    pairs = list(itertools.combinations(names, 2))[: max(20, case.count or 20)]
+    pairs = list(itertools.combinations(names, 2))[: max(20, count or 20)]
     reports = {n: property_report(pool[n]) for n in names}
+    found = []
     for a, b in pairs:
-        res.instances_checked += 1
         prod_rep = property_report(product(pool[a], pool[b]))
         for prop in _PRODUCT_PROPERTIES:
             both = reports[a].verdict(prop) and reports[b].verdict(prop)
             if prod_rep.verdict(prop) != both:
-                res.counterexamples.append(
+                found.append(
                     {"instance": f"{a} x {b}", "property": prop,
                      "detail": f"product {prod_rep.verdict(prop)}, factors {both}"}
                 )
@@ -523,35 +480,34 @@ def _run_product_lemma(case: TheoremCase) -> VerificationResult:
         (star(4), path(4)), (cycle(3), cycle(3)),
     ]
     for G1, G2 in graph_pairs:
-        res.instances_checked += 1
         shifted = tuple((u + G1.n, v + G1.n) for u, v in G2.edges)
         union = Graph(G1.n + G2.n, G1.edges + shifted)
         L = lcm_lattice(edge_ideal(union))
         P = product(edge_ideal_lattice(G1), edge_ideal_lattice(G2))
         if not is_isomorphic(L, P):
-            res.counterexamples.append(
+            found.append(
                 {"instance": f"disjoint union {G1.edges} + {G2.edges}",
                  "detail": "lattice of union not isomorphic to product"}
             )
-    return res
+    return len(pairs) + len(graph_pairs), found
 
 
-def _run_polarization(case: TheoremCase) -> VerificationResult:
-    rng = random.Random(case.seed)
-    count = case.count or 150
-    res = VerificationResult(case.id, count)
+def _run_polarization(seed, count, field):
+    rng = random.Random(seed)
+    count = count or 150
+    found = []
     for k in range(count):
         ideal = random_ideal(rng, 4, 4, 4)
         pol = polarize(ideal)
         if not pol.is_squarefree:
-            res.counterexamples.append(
+            found.append(
                 _ideal_ce(f"seeded#{k}", ideal, "polarization not squarefree")
             )
         elif not is_isomorphic(lcm_lattice(ideal), lcm_lattice(pol)):
-            res.counterexamples.append(
+            found.append(
                 _ideal_ce(f"seeded#{k}", ideal, "polarization changed the lattice")
             )
-    return res
+    return count, found
 
 
 _CASE_RUNNERS = {
@@ -568,8 +524,9 @@ _CASE_RUNNERS = {
 
 
 def run_cases(ids, *, max_n=6, seed=0, char=None, jobs=1, count=None):
-    """Run several cases, sharing one graph sweep across the exhaustive
-    ones; results come back in the requested order."""
+    """Run catalog cases, sharing one graph sweep across the exhaustive
+    ones; results come back in the requested order.  Every option is
+    checked before any work starts."""
     for i in ids:
         if i not in CATALOG:
             raise BadTheoremId(f"unknown case {i!r}; have {sorted(CATALOG)}")
@@ -580,50 +537,35 @@ def run_cases(ids, *, max_n=6, seed=0, char=None, jobs=1, count=None):
         raise BadParameter(f"max_n {max_n} out of range 2..7")
     if count is not None and count < 1:
         raise BadParameter(f"count {count} must be at least 1")
+    field = FieldSpec(DEFAULT_PRIME if char is None else char)
     graph_ids = [i for i in ids if i in GRAPH_CASES]
     results = {}
     if graph_ids:
         t0 = time.time()
-        case = TheoremCase(graph_ids[0], max_n=max_n, seed=seed, char=char,
-                           jobs=jobs, count=count)
-        swept = _run_graph_cases(graph_ids, case)
+        total, found = _sweep_graphs(max_n, jobs)
         elapsed = time.time() - t0
-        for i, r in swept.items():
-            r.elapsed = elapsed
-            results[i] = r
+        for i in graph_ids:
+            ces = [{"graph": g, "detail": _plain(d)} for c, g, d in found if c == i]
+            results[i] = VerificationResult(i, total, ces, elapsed)
     for i in ids:
-        if i in results:
-            continue
-        case = TheoremCase(i, max_n=max_n, seed=seed, char=char, jobs=jobs,
-                           count=count)
-        t0 = time.time()
-        r = _CASE_RUNNERS[i](case)
-        r.elapsed = time.time() - t0
-        results[i] = r
+        if i not in results:
+            t0 = time.time()
+            checked, ces = _CASE_RUNNERS[i](seed, count, field)
+            results[i] = VerificationResult(i, checked, ces, time.time() - t0)
     return [results[i] for i in ids]
 
 
-def verify(case: TheoremCase) -> VerificationResult:
-    """Run a single catalog case."""
-    return run_cases(
-        [case.id], max_n=case.max_n, seed=case.seed, char=case.char,
-        jobs=case.jobs, count=case.count,
-    )[0]
-
-
-def betti_oracle_check(count=200, seed=0, chars=(2, DEFAULT_PRIME),
-                       max_vars=5, max_gens=8, max_deg=3):
+def betti_oracle_check(count=200, seed=0):
     """Compare the interval-homology Betti tables against the independent
-    Taylor-complex oracle, entry for entry, over seeded random ideals; the
-    pd bounds are checked along the way.  Not a catalog case: used by the
-    acceptance suite."""
+    Taylor-complex oracle, entry for entry, over GF(2) and GF(DEFAULT_PRIME)
+    on seeded random ideals; the pd bounds are checked along the way.  Not a
+    catalog case: used by the acceptance suite."""
     rng = random.Random(seed)
     res = VerificationResult("betti-oracle", count)
     for k in range(count):
-        ideal = random_ideal(rng, max_vars, max_gens, max_deg)
+        ideal = random_ideal(rng, 5, 8, 3)
         L = lcm_lattice(ideal)
-        for c in chars:
-            fs = FieldSpec(c)
+        for fs in (FieldSpec(2), FieldSpec(DEFAULT_PRIME)):
             mine = lattice_betti_table(L, fs)
             oracle = taylor_betti(ideal, fs)
             if mine.multigraded != oracle:

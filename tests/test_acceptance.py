@@ -32,10 +32,8 @@ from lcmlat.lattice import (
 from lcmlat.resolutions import betti_table, is_pure, lattice_betti_table
 from lcmlat.verify import (
     GRAPH_CASES,
-    TheoremCase,
     betti_oracle_check,
     run_cases,
-    verify,
 )
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -60,17 +58,17 @@ def graph_sweep():
 
 @pytest.fixture(scope="module")
 def boolean_equivalence_result():
-    return verify(TheoremCase("boolean-equivalence", seed=0, count=500))
+    return run_cases(["boolean-equivalence"], seed=0, count=500)[0]
 
 
 @pytest.fixture(scope="module")
 def oracle_result():
-    return betti_oracle_check(count=200, seed=0, chars=(2, 32003))
+    return betti_oracle_check(count=200, seed=0)
 
 
 @pytest.fixture(scope="module")
 def roundtrip_result():
-    return verify(TheoremCase("phan-roundtrip", seed=0, count=200))
+    return run_cases(["phan-roundtrip"], seed=0, count=200)[0]
 
 
 def _run_cli(monkeypatch, capsys, argv, stdin=None):
@@ -135,7 +133,7 @@ def test_criterion_04_gray_areas_and_product_lemma(graph_sweep):
     results, _ = graph_sweep
     ok = results["gray-areas"].passed
     t0 = time.time()
-    prod = verify(TheoremCase("product-lemma"))
+    prod = run_cases(["product-lemma"])[0]
     elapsed = time.time() - t0
     ok = ok and prod.passed and prod.instances_checked >= 20
     report(4, "gray areas and product lemma", ok and elapsed < 60,
@@ -144,7 +142,7 @@ def test_criterion_04_gray_areas_and_product_lemma(graph_sweep):
 
 def test_criterion_05_family_table():
     t0 = time.time()
-    res = verify(TheoremCase("special-families"))
+    res = run_cases(["special-families"])[0]
     elapsed = time.time() - t0
     report(5, "path/cycle/complete family table",
            res.passed and elapsed < 120, f"{elapsed:.1f}s")

@@ -3,10 +3,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import types
 
 import pytest
 
-from lcmlat import cli
+from lcmlat import cli, verify
 from lcmlat.errors import FormatError
 from lcmlat.formats import (
     dumps_json,
@@ -193,6 +194,23 @@ def test_ideal_lcm_over_the_element_cap_exits_1(capsys, tmp_path):
     assert err.startswith("lcmlat: error: ") and err.count("\n") == 1
 
 
+def test_lcmlat_verify_is_the_module():
+    # the package attribute, which ``from lcmlat import verify`` reads
+    assert isinstance(verify, types.ModuleType)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """A broken option guard must fail the test, not start worker processes
+    or the graph sweep."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    monkeypatch.setattr(verify, "Pool", refuse)
+    monkeypatch.setattr(verify, "_sweep_graphs", refuse)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -205,20 +223,22 @@ def test_ideal_lcm_over_the_element_cap_exits_1(capsys, tmp_path):
         ["pd-height-bound", "--count", "-3"],
     ],
 )
-def test_verify_rejects_out_of_range_options(capsys, monkeypatch, args):
-    import sys
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    # a broken guard must fail here, not start worker processes
-    # (lcmlat.verify the name is the function; the module is in sys.modules)
-    monkeypatch.setattr(sys.modules["lcmlat.verify"], "Pool", no_pool)
+def test_verify_rejects_out_of_range_options(capsys, no_pool, args):
     code, out, err = run(capsys, ["verify", *args])
     assert code == 1
     assert out == ""
     option = args[-2].lstrip("-").replace("-", "_")
     assert err.startswith(f"lcmlat: error: {option} {args[-1]} ")
+
+
+@pytest.mark.parametrize(
+    "args", [["coatomic", "--max-n", "3", "--char", "4"], ["all", "--char", "4"]]
+)
+def test_verify_rejects_bad_char_before_any_work(capsys, no_pool, args):
+    code, out, err = run(capsys, ["verify", *args])
+    assert code == 1
+    assert out == ""
+    assert err == "lcmlat: error: field characteristic must be 0 or prime, got 4\n"
 
 
 def test_verify_cli_counterexample_exit_code(capsys, monkeypatch):

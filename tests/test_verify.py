@@ -7,17 +7,15 @@ from lcmlat.formats import dumps_json
 from lcmlat.verify import (
     CATALOG,
     GRAPH_CASES,
-    TheoremCase,
     betti_oracle_check,
     random_ideal,
     run_cases,
-    verify,
 )
 
 
 def test_catalog_ids_are_closed():
     with pytest.raises(BadTheoremId):
-        TheoremCase("made-up")
+        run_cases(["made-up"])
     assert len(CATALOG) == 17
 
 
@@ -36,7 +34,7 @@ def test_graph_cases_small_bounds():
 
 
 def test_single_case_api():
-    res = verify(TheoremCase("uss-modular", max_n=4))
+    res = run_cases(["uss-modular"], max_n=4)[0]
     assert res.passed and res.verdict == "pass"
 
 
@@ -47,32 +45,32 @@ def test_seeded_cases_pass_quickly():
         ("phan-roundtrip", 20),
         ("polarization-invariance", 30),
     ]:
-        res = verify(TheoremCase(case_id, count=count, seed=3))
+        res = run_cases([case_id], count=count, seed=3)[0]
         assert res.passed, (case_id, res.counterexamples[:2])
 
 
 def test_fixture_cases_pass():
     for case_id in ("special-families", "modular-cm", "product-lemma"):
-        res = verify(TheoremCase(case_id))
+        res = run_cases([case_id])[0]
         assert res.passed, (case_id, res.counterexamples[:2])
 
 
 def test_geometric_and_strong_cases():
-    res = verify(TheoremCase("geometric-pd", count=30))
+    res = run_cases(["geometric-pd"], count=30)[0]
     assert res.passed
-    res = verify(TheoremCase("strongly-complemented-necessary", count=20))
+    res = run_cases(["strongly-complemented-necessary"], count=20)[0]
     assert res.passed
 
 
 def test_results_serialize_deterministically():
-    r1 = verify(TheoremCase("boolean-edge", max_n=4))
-    r2 = verify(TheoremCase("boolean-edge", max_n=4))
+    r1 = run_cases(["boolean-edge"], max_n=4)[0]
+    r2 = run_cases(["boolean-edge"], max_n=4)[0]
     assert dumps_json(r1.to_json()) == dumps_json(r2.to_json())
     assert "elapsed" not in r1.to_json()
 
 
 def test_betti_oracle_check_small():
-    res = betti_oracle_check(count=15, seed=9, chars=(2, 32003))
+    res = betti_oracle_check(count=15, seed=9)
     assert res.passed
 
 
