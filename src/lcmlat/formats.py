@@ -26,32 +26,38 @@ def dumps_json(obj) -> str:
 # -- ideals -------------------------------------------------------------------
 
 
+def _parse_factors(s: str, where: str) -> dict:
+    """{variable index: exponent} of a product like ``x2*x3^2``; indices
+    start at 1.  ``where`` prefixes any error message."""
+    factors = {}
+    for part in s.split("*"):
+        m = _FACTOR_RE.match(part.strip())
+        if not m:
+            raise FormatError(f"{where}bad factor {part.strip()!r}")
+        v = int(m.group(1))
+        if v < 1:
+            raise FormatError(f"{where}variable index must be >= 1")
+        factors[v] = factors.get(v, 0) + int(m.group(2) or 1)
+    return factors
+
+
+def _monomial(factors: dict, nvars: int) -> Monomial:
+    exps = [0] * nvars
+    for v, e in factors.items():
+        exps[v - 1] = e
+    return Monomial(tuple(exps))
+
+
 def parse_ideal_text(text: str) -> MonomialIdeal:
     raws = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        factors = {}
-        for part in line.split("*"):
-            m = _FACTOR_RE.match(part.strip())
-            if not m:
-                raise FormatError(f"line {lineno}: bad factor {part.strip()!r}")
-            v = int(m.group(1))
-            if v < 1:
-                raise FormatError(f"line {lineno}: variable index must be >= 1")
-            factors[v] = factors.get(v, 0) + int(m.group(2) or 1)
-        raws.append((lineno, factors))
+        if line:
+            raws.append(_parse_factors(line, f"line {lineno}: "))
     if not raws:
         raise FormatError("line 1: no generators found")
-    nvars = max(max(f) for _, f in raws)
-    gens = []
-    for lineno, factors in raws:
-        exps = [0] * nvars
-        for v, e in factors.items():
-            exps[v - 1] = e
-        gens.append(Monomial(tuple(exps)))
-    return minimalize(gens, nvars)
+    nvars = max(max(f) for f in raws)
+    return minimalize([_monomial(f, nvars) for f in raws], nvars)
 
 
 def parse_ideal_json(obj) -> MonomialIdeal:
@@ -106,10 +112,13 @@ def parse_lattice(text: str) -> FiniteLattice:
         raise FormatError(f"bad lattice JSON: {exc}") from None
     labels = None
     if "labels" in obj and obj["labels"] is not None:
-        labels = [parse_monomial_label(s) for s in obj["labels"]]
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+            raise FormatError("bad lattice JSON: labels must be a list of strings")
+        labels = [parse_monomial_label(s) for s in labels]
         if len(labels) != n:
             raise FormatError("bad lattice JSON: label count mismatch")
-        nvars = max(m.nvars for m in labels)
+        nvars = max((m.nvars for m in labels), default=0)
         labels = [Monomial(m.exps + (0,) * (nvars - m.nvars)) for m in labels]
     L = lattice_from_covers(n, covers, labels)
     try:
@@ -123,19 +132,8 @@ def parse_monomial_label(s: str) -> Monomial:
     s = s.strip()
     if s == "1":
         return Monomial(())
-    factors = {}
-    for part in s.split("*"):
-        m = _FACTOR_RE.match(part.strip())
-        if not m:
-            raise FormatError(f"bad monomial label {s!r}")
-        factors[int(m.group(1))] = factors.get(int(m.group(1)), 0) + int(
-            m.group(2) or 1
-        )
-    nvars = max(factors)
-    exps = [0] * nvars
-    for v, e in factors.items():
-        exps[v - 1] = e
-    return Monomial(tuple(exps))
+    factors = _parse_factors(s, f"bad monomial label {s!r}: ")
+    return _monomial(factors, max(factors))
 
 
 # -- graphs -------------------------------------------------------------------

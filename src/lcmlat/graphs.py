@@ -56,17 +56,19 @@ class Graph:
         return bool((self.adjacency[u] >> v) & 1)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            new = 0
-            for v in _bits(frontier):
-                new |= self.adjacency[v]
-            frontier = new & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return self.n == 0 or _spans(self.adjacency)
+
+
+def _spans(adj) -> bool:
+    """Bitmask BFS from vertex 0: does it reach every row of ``adj``?"""
+    seen = frontier = 1
+    while frontier:
+        new = 0
+        for v in _bits(frontier):
+            new |= adj[v]
+        frontier = new & ~seen
+        seen |= frontier
+    return seen == (1 << len(adj)) - 1
 
 
 # -- families and fixtures -----------------------------------------------------
@@ -391,25 +393,13 @@ def connected_graph_masks(n: int):
     vertices, ascending."""
     pairs = _edge_list(n)
     for mask in range(1, 1 << len(pairs)):
-        if _mask_connected(n, pairs, mask):
+        adj = [0] * n
+        for i in _bits(mask):
+            u, v = pairs[i]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        if _spans(adj):
             yield mask
-
-
-def _mask_connected(n: int, pairs, mask: int) -> bool:
-    adj = [0] * n
-    for i in _bits(mask):
-        u, v = pairs[i]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for v in _bits(frontier):
-            new |= adj[v]
-        frontier = new & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
 
 
 def canonical_form(G: Graph) -> tuple:
@@ -434,17 +424,23 @@ def canonical_form(G: Graph) -> tuple:
     return best
 
 
-def is_canonical_representative(G: Graph) -> bool:
-    """True when the graph's own edge list is its canonical form; each
-    isomorphism class of labeled graphs has exactly one such member, so
-    sharded enumeration can dedup without shared state."""
-    return G.edges == canonical_form(G)
+def connected_nonisomorphic_graphs(n: int) -> list:
+    """One graph per isomorphism class of connected nontrivial graphs on n
+    vertices, each in its canonical form, sorted by edge mask.
 
-
-def connected_nonisomorphic_graphs(n: int):
-    """One representative per isomorphism class of connected nontrivial
-    graphs on n vertices (used for the opt-in n = 7 sweep)."""
-    for mask in connected_graph_masks(n):
-        G = graph_from_mask(n, mask)
-        if is_canonical_representative(G):
-            yield G
+    Every connected graph has a vertex that is not a cut vertex, so each
+    class on k vertices is a class on k - 1 vertices plus a new vertex with
+    a non-empty neighbourhood; the canonical form merges the duplicates.
+    """
+    classes = {((0, 1),)} if n >= 2 else set()
+    for k in range(3, n + 1):
+        classes = {
+            canonical_form(Graph(k, edges + tuple((v, k - 1) for v in _bits(nb))))
+            for edges in classes
+            for nb in range(1, 1 << (k - 1))
+        }
+    index = {pair: i for i, pair in enumerate(_edge_list(n))}
+    return sorted(
+        (Graph(n, edges) for edges in classes),
+        key=lambda G: sum(1 << index[e] for e in G.edges),
+    )

@@ -20,13 +20,13 @@ from .graphs import (
     check_graph_theorems,
     complete,
     connected_graph_masks,
+    connected_nonisomorphic_graphs,
     cycle,
     edge_ideal,
     edge_ideal_lattice,
     graph_fixture,
     graph_from_mask,
     gray_area_violations,
-    is_canonical_representative,
     path,
     star,
 )
@@ -71,6 +71,11 @@ _GRAPH_CASE_PROPERTIES = {
 }
 
 GRAPH_CASES = tuple(_GRAPH_CASE_PROPERTIES) + ("gray-areas",)
+
+#: The sweep checks every labeled graph up to this many vertices, since a
+#: labeled sweep also catches variable-order bugs; beyond it, one graph per
+#: isomorphism class.
+_LABELED_MAX_N = 6
 
 CATALOG = {
     "graded-graph": "lattice graded <=> graph gap-free; graded lattices "
@@ -166,55 +171,38 @@ def random_ideal(rng: random.Random, max_vars: int, max_gens: int, max_deg: int)
 
 
 def _graph_violations(G: Graph) -> list:
-    """(case id, detail) pairs for one graph; empty when every theorem holds."""
+    """(case id, graph JSON, detail) for each theorem that fails on one
+    graph; empty when every theorem holds."""
     rep, violations = check_graph_theorems(G)
     out = []
     for v in violations:
         prop = v["property"]
         for case, props in _GRAPH_CASE_PROPERTIES.items():
             if prop in props:
-                out.append((case, v))
+                out.append((case, formats.graph_to_json(G), v))
                 break
     for g in gray_area_violations(rep.lattice_report):
-        out.append(("gray-areas", {"implication": g}))
+        out.append(("gray-areas", formats.graph_to_json(G), {"implication": g}))
     return out
 
 
-def _graph_worker(args):
-    n, lo, hi = args
-    count = 0
-    found = []
-    dedup = n >= 7  # labeled enumeration up to 6; one graph per class beyond
-    for mask in range(lo, hi):
-        G = graph_from_mask(n, mask)
-        if not G.edges or not G.is_connected():
-            continue
-        if dedup and not is_canonical_representative(G):
-            continue
-        count += 1
-        for case, detail in _graph_violations(G):
-            found.append((case, formats.graph_to_json(G), detail))
-    return count, found
-
-
 def _sweep_graphs(max_n: int, jobs: int):
-    """All connected nontrivial labeled graphs on 2..max_n vertices."""
-    total = 0
-    found = []
-    shards = []
+    """Every connected labeled graph on 2.._LABELED_MAX_N vertices, then one
+    graph per isomorphism class up to max_n vertices, in (n, edge mask)
+    order; the graphs are split into contiguous shards over the pool."""
+    graphs = []
     for n in range(2, max_n + 1):
-        nmasks = 1 << (n * (n - 1) // 2)
-        step = max(512, nmasks // max(1, 16 * jobs))
-        shards.extend((n, lo, min(lo + step, nmasks)) for lo in range(0, nmasks, step))
+        if n <= _LABELED_MAX_N:
+            graphs.extend(graph_from_mask(n, m) for m in connected_graph_masks(n))
+        else:
+            graphs.extend(connected_nonisomorphic_graphs(n))
     if jobs > 1:
         with Pool(jobs) as pool:
-            results = pool.map(_graph_worker, shards)
+            shard = -(-len(graphs) // (16 * jobs))
+            per_graph = pool.map(_graph_violations, graphs, chunksize=shard)
     else:
-        results = [_graph_worker(s) for s in shards]
-    for count, viol in results:
-        total += count
-        found.extend(viol)
-    return total, found
+        per_graph = map(_graph_violations, graphs)
+    return len(graphs), [v for found in per_graph for v in found]
 
 
 def _plain(obj):
@@ -533,8 +521,8 @@ def run_cases(ids, *, max_n=6, seed=0, char=None, jobs=1, count=None):
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise BadParameter(f"jobs {jobs} out of range 1..{cpus}")
-    if not 2 <= max_n <= 7:
-        raise BadParameter(f"max_n {max_n} out of range 2..7")
+    if not 2 <= max_n <= 8:
+        raise BadParameter(f"max_n {max_n} out of range 2..8")
     if count is not None and count < 1:
         raise BadParameter(f"count {count} must be at least 1")
     field = FieldSpec(DEFAULT_PRIME if char is None else char)

@@ -218,7 +218,7 @@ def no_pool(monkeypatch):
         ["coatomic", "--max-n", "4", "--jobs", str((os.cpu_count() or 1) + 1)],
         ["coatomic", "--max-n", "4", "--jobs", "100000"],
         ["pd-height-bound", "--max-n", "1"],
-        ["pd-height-bound", "--max-n", "8"],
+        ["pd-height-bound", "--max-n", "9"],
         ["pd-height-bound", "--count", "0"],
         ["pd-height-bound", "--count", "-3"],
     ],
@@ -283,6 +283,25 @@ def test_betti_multigraded_text(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, ["ideal", "betti", str(f), "--multigraded"])
     assert code == 0
     assert "i=2 j=3 m=x1*x2*x3 rank=1" in out
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        {"n": 2, "covers": [[0, 1]], "labels": ["1", "x0"]},
+        {"n": 2, "covers": [[0, 1]], "labels": ["1", "x0*x3"]},
+        {"n": 2, "covers": [[0, 1]], "labels": 5},
+        {"n": 2, "covers": [[0, 1]], "labels": ["1", 3]},
+        {"n": 0, "covers": [], "labels": []},
+    ],
+)
+def test_lattice_check_rejects_bad_labels(capsys, monkeypatch, lattice):
+    text = dumps_json(lattice)
+    code, out, err = run(capsys, ["lattice", "check", "-"], text, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_lattice_json_label_validation():

@@ -7,6 +7,7 @@ import pytest
 from lcmlat.errors import BadParameter, NoEdges
 from lcmlat.graphs import (
     Graph,
+    canonical_form,
     check_graph_theorems,
     complemented_via_independent_sets,
     complete,
@@ -175,5 +176,27 @@ def test_check_graph_theorems_clean_on_samples():
 def test_enumeration_counts():
     assert sum(1 for _ in connected_graph_masks(4)) == 38
     assert sum(1 for _ in connected_graph_masks(5)) == 728
-    assert sum(1 for _ in connected_nonisomorphic_graphs(4)) == 6
-    assert sum(1 for _ in connected_nonisomorphic_graphs(5)) == 21
+
+
+def test_connected_classes_match_graph_atlas():
+    import networkx as nx
+
+    atlas = nx.graph_atlas_g()
+    for n in range(2, 8):
+        classes = connected_nonisomorphic_graphs(n)
+        expected = sum(
+            1 for g in atlas if g.number_of_nodes() == n and nx.is_connected(g)
+        )
+        assert len(classes) == expected, n
+        assert all(G.is_connected() for G in classes)
+        # canonical and distinct, so no two classes are isomorphic
+        assert all(canonical_form(G) == G.edges for G in classes)
+        assert len({G.edges for G in classes}) == len(classes)
+    # the labeled graphs whose edge list is already canonical: one per class
+    filtered = {
+        G.edges
+        for G in (graph_from_mask(6, m) for m in connected_graph_masks(6))
+        if canonical_form(G) == G.edges
+    }
+    assert len(filtered) == 112
+    assert {G.edges for G in connected_nonisomorphic_graphs(6)} == filtered

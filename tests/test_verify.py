@@ -4,9 +4,11 @@ import pytest
 
 from lcmlat.errors import BadTheoremId
 from lcmlat.formats import dumps_json
+from lcmlat.graphs import connected_nonisomorphic_graphs
 from lcmlat.verify import (
     CATALOG,
     GRAPH_CASES,
+    _graph_violations,
     betti_oracle_check,
     random_ideal,
     run_cases,
@@ -25,6 +27,13 @@ def test_random_ideal_is_deterministic():
     a = [random_ideal(random.Random(42), 5, 5, 3) for _ in range(10)]
     b = [random_ideal(random.Random(42), 5, 5, 3) for _ in range(10)]
     assert a == b
+
+
+def test_every_seven_vertex_class_satisfies_the_characterizations():
+    classes = connected_nonisomorphic_graphs(7)
+    assert len(classes) == 853
+    for G in classes:
+        assert _graph_violations(G) == [], G.edges
 
 
 def test_graph_cases_small_bounds():
