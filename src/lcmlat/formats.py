@@ -23,6 +23,14 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _int(value, kind: str) -> int:
+    """``value`` if it is an int and not a bool: 1.9, true or "0" in a
+    ``kind`` JSON file is an error, never truncated or coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"bad {kind} JSON: expected an integer, got {value!r}")
+    return value
+
+
 # -- ideals -------------------------------------------------------------------
 
 
@@ -62,8 +70,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
 
 def parse_ideal_json(obj) -> MonomialIdeal:
     try:
-        nvars = int(obj["nvars"])
-        gens = [Monomial(tuple(int(e) for e in g)) for g in obj["gens"]]
+        nvars = _int(obj["nvars"], "ideal")
+        gens = [Monomial(tuple(_int(e, "ideal") for e in g)) for g in obj["gens"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad ideal JSON: {exc}") from None
     for g in gens:
@@ -106,8 +114,8 @@ def parse_lattice(text: str) -> FiniteLattice:
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
     try:
-        n = int(obj["n"])
-        covers = [(int(a), int(b)) for a, b in obj["covers"]]
+        n = _int(obj["n"], "lattice")
+        covers = [(_int(a, "lattice"), _int(b, "lattice")) for a, b in obj["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad lattice JSON: {exc}") from None
     labels = None
@@ -149,7 +157,8 @@ def parse_graph(text: str) -> Graph:
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
     try:
-        return Graph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
+        edges = tuple((_int(u, "graph"), _int(v, "graph")) for u, v in obj["edges"])
+        return Graph(_int(obj["n"], "graph"), edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad graph JSON: {exc}") from None
 

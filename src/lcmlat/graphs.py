@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import BadParameter, NoEdges, TheoremViolation
 from .ideals import Monomial, MonomialIdeal, lcm_lattice
@@ -13,6 +13,7 @@ from .lattice import (
     FiniteLattice,
     PropertyReport,
     _bits,
+    find_isomorphism,
     open_interval_is_connected,
     property_report,
     refine,
@@ -27,6 +28,8 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise BadParameter(f"vertex count {self.n} is negative")
         norm = []
         for u, v in self.edges:
             if u == v:
@@ -227,30 +230,17 @@ def complemented_via_independent_sets(G: Graph) -> bool:
                 trapped |= 1 << v
         if not trapped:
             continue
-        found = False
-        x = a_mask
         sub = a_mask
-        while True:
-            # iterate over all submasks of a_mask
-            if _is_independent(G, sub):
-                nx = 0
-                for v in _bits(sub):
-                    nx |= adj[v]
-                if not trapped & ~nx:
-                    found = True
-                    break
-            if sub == 0:
+        while True:  # every submask of a_mask, down to 0
+            nbrs = 0
+            for v in _bits(sub):
+                nbrs |= adj[v]
+            # sub is independent and its neighbours cover the trapped vertices
+            if not nbrs & sub and not trapped & ~nbrs:
                 break
+            if sub == 0:
+                return False
             sub = (sub - 1) & a_mask
-        if not found:
-            return False
-    return True
-
-
-def _is_independent(G: Graph, mask: int) -> bool:
-    for v in _bits(mask):
-        if G.adjacency[v] & mask:
-            return False
     return True
 
 
@@ -402,45 +392,40 @@ def connected_graph_masks(n: int):
             yield mask
 
 
-def canonical_form(G: Graph) -> tuple:
-    """Canonical edge set under vertex relabeling, for isomorphism dedup.
-    Permutations run within colour-refinement classes only, taken in colour
-    order."""
-    colors = refine(G.adjacency, [G.degree(v) for v in range(G.n)])
-    parts = [[v for v in range(G.n) if colors[v] == c] for c in sorted(set(colors))]
-    best = None
-    for perm_parts in itertools.product(
-        *[itertools.permutations(p) for p in parts]
-    ):
-        order = [v for part in perm_parts for v in part]
-        relabel = [0] * G.n
-        for new, old in enumerate(order):
-            relabel[old] = new
-        edges = tuple(
-            sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in G.edges)
-        )
-        if best is None or edges < best:
-            best = edges
-    return best
+@cache
+def _class_rows(k: int) -> tuple:
+    """Adjacency rows of one graph per isomorphism class of connected graphs
+    on k >= 2 vertices.  Every connected graph has a vertex that is not a cut
+    vertex, so the candidates are the classes on k - 1 vertices plus a new
+    vertex with each non-empty neighbourhood.  A candidate is filed under an
+    isomorphism invariant of its colour refinement, and kept unless
+    ``find_isomorphism`` maps it onto a graph already kept in its bucket."""
+    if k == 2:
+        return ((0b10, 0b01),)
+    buckets = {}
+    for parent in _class_rows(k - 1):
+        for nb in range(1, 1 << (k - 1)):
+            rows = (*(r | (nb >> v & 1) << (k - 1) for v, r in enumerate(parent)), nb)
+            colors = refine(rows, [r.bit_count() for r in rows])
+            key = tuple(sorted(
+                (c, tuple(sorted(colors[u] for u in _bits(r))))
+                for c, r in zip(colors, rows)
+            ))
+            kept = buckets.setdefault(key, [])
+            if all(find_isomorphism(rows, o, colors, oc) is None for o, oc in kept):
+                kept.append((rows, colors))
+    return tuple(rows for kept in buckets.values() for rows, _ in kept)
 
 
 def connected_nonisomorphic_graphs(n: int) -> list:
     """One graph per isomorphism class of connected nontrivial graphs on n
-    vertices, each in its canonical form, sorted by edge mask.
-
-    Every connected graph has a vertex that is not a cut vertex, so each
-    class on k vertices is a class on k - 1 vertices plus a new vertex with
-    a non-empty neighbourhood; the canonical form merges the duplicates.
-    """
-    classes = {((0, 1),)} if n >= 2 else set()
-    for k in range(3, n + 1):
-        classes = {
-            canonical_form(Graph(k, edges + tuple((v, k - 1) for v in _bits(nb))))
-            for edges in classes
-            for nb in range(1, 1 << (k - 1))
-        }
-    index = {pair: i for i, pair in enumerate(_edge_list(n))}
-    return sorted(
-        (Graph(n, edges) for edges in classes),
-        key=lambda G: sum(1 << index[e] for e in G.edges),
-    )
+    vertices, sorted by edge mask.  Each level is built once per process, so
+    listing n + 1 after n extends the level already built."""
+    if n < 2:
+        return []
+    pos = {pair: i for i, pair in enumerate(_edge_list(n))}
+    masks = [
+        sum(1 << pos[u, v] for v, r in enumerate(rows) for u in _bits(r) if u < v)
+        for rows in _class_rows(n)
+    ]
+    return [graph_from_mask(n, m) for m in sorted(masks)]

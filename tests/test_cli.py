@@ -8,7 +8,7 @@ import types
 import pytest
 
 from lcmlat import cli, verify
-from lcmlat.errors import FormatError
+from lcmlat.errors import BadParameter, FormatError
 from lcmlat.formats import (
     dumps_json,
     graph_to_json,
@@ -69,6 +69,8 @@ def test_lattice_json_roundtrip():
 def test_graph_json_roundtrip():
     G = graph_fixture("fig6")
     assert parse_graph(dumps_json(graph_to_json(G))) == G
+    with pytest.raises(BadParameter, match="negative"):
+        parse_graph('{"n": -1, "edges": []}')
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -298,6 +300,24 @@ def test_betti_multigraded_text(capsys, monkeypatch, tmp_path):
 def test_lattice_check_rejects_bad_labels(capsys, monkeypatch, lattice):
     text = dumps_json(lattice)
     code, out, err = run(capsys, ["lattice", "check", "-"], text, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["ideal", "betti", "-"], {"nvars": 2, "gens": [[1.9, 1], [True, "0"]]}),
+        (["ideal", "betti", "-"], {"nvars": 2, "gens": [[1, 1], [True, 0]]}),
+        (["lattice", "check", "-"], {"n": 2.7, "covers": [[0, 1.9]]}),
+        (["lattice", "check", "-"], {"n": 2, "covers": [[0, True]]}),
+        (["graph", "props", "-"], {"n": 2, "edges": [[0, 1.9]]}),
+    ],
+)
+def test_json_parsers_accept_only_integers(capsys, monkeypatch, argv, obj):
+    code, out, err = run(capsys, argv, dumps_json(obj), monkeypatch)
     assert code == 1
     assert out == ""
     assert err.startswith("lcmlat: error: ") and err.count("\n") == 1

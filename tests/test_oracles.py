@@ -399,13 +399,14 @@ def test_permutation_equality_against_networkx_bipartite_matcher():
     assert 150 < agree < 300  # both verdicts occur
 
 
-def test_canonical_form_against_networkx_isomorphism():
+def test_find_isomorphism_on_graphs_against_networkx():
     import itertools
     import random
 
     import networkx as nx
 
-    from lcmlat.graphs import Graph, canonical_form
+    from lcmlat.graphs import Graph
+    from lcmlat.lattice import find_isomorphism
 
     def nx_graph(G):
         g = nx.Graph()
@@ -413,20 +414,32 @@ def test_canonical_form_against_networkx_isomorphism():
         g.add_edges_from(G.edges)
         return g
 
+    def search(G, H):
+        """find_isomorphism's map from G onto H, checked when there is one."""
+        image = find_isomorphism(
+            G.adjacency, H.adjacency,
+            [G.degree(v) for v in range(G.n)], [H.degree(v) for v in range(H.n)],
+        )
+        if image is not None:
+            mapped = {tuple(sorted((image[u], image[v]))) for u, v in G.edges}
+            assert mapped == set(H.edges), (G.edges, H.edges, image)
+        return image
+
     pairs = list(itertools.combinations(range(7), 2))
     rng = random.Random(41)
     for _ in range(40):
         G = Graph(7, tuple(p for p in pairs if rng.random() < 0.5))
         perm = rng.sample(range(7), 7)
         H = Graph(7, tuple((perm[u], perm[v]) for u, v in G.edges))
-        assert canonical_form(H) == canonical_form(G), G.edges
+        assert nx.is_isomorphic(nx_graph(G), nx_graph(H))
+        assert search(G, H) is not None, G.edges
     same = 0
     for _ in range(200):
         # equal edge counts, so the verdict is not settled by size alone
         G = Graph(7, tuple(p for p in pairs if rng.random() < 0.5))
         H = Graph(7, tuple(rng.sample(pairs, len(G.edges))))
         expected = nx.is_isomorphic(nx_graph(G), nx_graph(H))
-        assert (canonical_form(G) == canonical_form(H)) == expected, (G.edges, H.edges)
+        assert (search(G, H) is not None) == expected, (G.edges, H.edges)
         same += expected
     assert same > 0
 
