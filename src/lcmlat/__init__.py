@@ -9,7 +9,6 @@ from .errors import (
     ContractViolation,
     CyclicCovers,
     EmptyGeneratorSet,
-    EquivalenceViolation,
     FormatError,
     LcmLatError,
     NoEdges,
@@ -91,7 +90,6 @@ from .resolutions import (
     BettiTable,
     TaylorReport,
     betti_table,
-    boolean_equivalence_report,
     is_cohen_macaulay,
     is_pure,
     pd_vs_height_report,

@@ -272,8 +272,9 @@ def build_parser() -> _Parser:
                  "pure", "polarize", "minimal"):
         sp = ideal_sub.add_parser(name)
         sp.add_argument("file", help="ideal file, or - for stdin")
-        sp.add_argument("--char", type=int, default=None,
-                        help="field characteristic (0 or a prime)")
+        if name in ("betti", "pd", "cm", "pure"):
+            sp.add_argument("--char", type=int, default=None,
+                            help="field characteristic (0 or a prime)")
         sp.add_argument("--json", action="store_true")
         if name == "betti":
             sp.add_argument("--multigraded", action="store_true")

@@ -45,10 +45,6 @@ class TooLarge(LcmLatError):
     """The requested object exceeds the supported element capacity."""
 
 
-class EquivalenceViolation(LcmLatError):
-    """The four Taylor-minimality equivalents disagreed: an implementation bug."""
-
-
 class ContractViolation(LcmLatError):
     """A proved inequality or implication failed: an implementation bug."""
 

@@ -40,9 +40,5 @@ class FieldSpec:
         if c != 0 and not is_prime(c):
             raise BadParameter(f"field characteristic must be 0 or prime, got {c}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

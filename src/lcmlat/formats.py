@@ -167,4 +167,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def betti_to_json(table) -> dict:
-    return {"entries": table.to_json_entries()}
+    entries = []
+    for (i, m), r in sorted(
+        table.multigraded.items(), key=lambda kv: (kv[0][0], kv[0][1].exps)
+    ):
+        entries.append({"i": i, "j": m.degree, "m": list(m.exps), "rank": r})
+    return {"entries": entries}

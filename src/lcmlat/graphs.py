@@ -55,10 +55,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adjacency[u] >> v) & 1)
-
     def is_connected(self) -> bool:
+        # fewer than n - 1 edges cannot connect n vertices; deciding that
+        # first keeps a huge n with few edges from building ``adjacency``
+        if len(self.edges) < self.n - 1:
+            return False
         return self.n == 0 or _spans(self.adjacency)
 
 
@@ -146,17 +147,14 @@ def edge_ideal_lattice(G: Graph) -> FiniteLattice:
 # -- induced-subgraph predicates -----------------------------------------------
 
 
-def _induced_edges(G: Graph, quad) -> list:
-    return [
-        (a, b) for a, b in itertools.combinations(sorted(quad), 2) if G.has_edge(a, b)
-    ]
-
-
 def is_gap_free(G: Graph) -> bool:
-    """No induced pair of disjoint edges (4-subset scan)."""
-    for quad in itertools.combinations(range(G.n), 4):
-        es = _induced_edges(G, quad)
-        if len(es) == 2 and not set(es[0]) & set(es[1]):
+    """No induced pair of disjoint edges: for each edge ab, no edge joins two
+    vertices outside the closed neighbourhood of a and b."""
+    adj = G.adjacency
+    full = (1 << G.n) - 1
+    for a, b in G.edges:
+        far = full & ~(1 << a | 1 << b | adj[a] | adj[b])
+        if any(adj[c] & far for c in _bits(far)):
             return False
     return True
 
@@ -195,20 +193,12 @@ def has_clique_with_unique_attachment(G: Graph) -> bool:
     complete graph with pendant vertices (trees of diameter <= 3 are the
     degenerate case where the clique is an edge or a single vertex).
     """
-    verts = range(G.n)
-    for h_mask in range(1, 1 << G.n):
-        hs = [v for v in verts if (h_mask >> v) & 1]
-        if any(not G.has_edge(a, b) for a, b in itertools.combinations(hs, 2)):
-            continue
-        ok = True
-        for v in verts:
-            if (h_mask >> v) & 1:
-                continue
-            nb = G.adjacency[v]
-            if nb & ~h_mask or (nb & h_mask).bit_count() != 1:
-                ok = False
-                break
-        if ok:
+    adj = G.adjacency
+    full = (1 << G.n) - 1
+    for h in range(1, full + 1):
+        if all((adj[v] | 1 << v) & h == h for v in _bits(h)) and all(
+            not adj[v] & ~h and adj[v].bit_count() == 1 for v in _bits(full & ~h)
+        ):
             return True
     return False
 

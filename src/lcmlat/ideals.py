@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import EmptyGeneratorSet, NotAtomic, TooLarge, UnitGenerator
@@ -23,9 +24,13 @@ class Monomial:
     exps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(int(e) for e in self.exps))
-        if any(e < 0 for e in self.exps):
+        try:
+            exps = tuple(map(operator.index, self.exps))
+        except TypeError:
+            raise ValueError(f"exponents must be integers, got {self.exps!r}") from None
+        if exps and min(exps) < 0:
             raise ValueError("exponents must be nonnegative")
+        object.__setattr__(self, "exps", exps)
 
     @property
     def nvars(self) -> int:

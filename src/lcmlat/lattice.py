@@ -65,10 +65,6 @@ def _json_witness(w):
     return list(w)
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -147,12 +143,6 @@ class FiniteLattice:
     def leq(self, x: int, y: int) -> bool:
         return bool((self.below[y] >> x) & 1)
 
-    def meet_of(self, x: int, y: int) -> int:
-        return self.meet[x][y]
-
-    def join_of(self, x: int, y: int) -> int:
-        return self.join[x][y]
-
     @cached_property
     def strict_below(self) -> tuple:
         return tuple(m & ~(1 << i) for i, m in enumerate(self.below))
@@ -188,7 +178,7 @@ class FiniteLattice:
     def chain_ranks(self) -> tuple:
         """Longest-chain length from the bottom to each element."""
         ranks = [0] * self.n
-        order = sorted(range(self.n), key=lambda i: _popcount(self.below[i]))
+        order = sorted(range(self.n), key=lambda i: self.below[i].bit_count())
         for i in order:
             r = 0
             for j in _bits(self.strict_below[i]):
@@ -223,10 +213,6 @@ class FiniteLattice:
                 shares |= self.below[g]
             out.append(full & ~shares)
         return tuple(out)
-
-    def interval_elements(self, lo: int, hi: int) -> list:
-        """Elements strictly between lo and hi, ascending."""
-        return list(_bits(self.strict_above[lo] & self.strict_below[hi]))
 
 
 def _symmetric(lower) -> tuple:
@@ -312,7 +298,7 @@ def meet_irreducibles(L: FiniteLattice) -> list:
     return [
         i
         for i in range(L.n)
-        if i != L.top and _popcount(L.upper_cover_masks[i]) == 1
+        if i != L.top and L.upper_cover_masks[i].bit_count() == 1
     ]
 
 
@@ -397,7 +383,7 @@ def is_distributive(L: FiniteLattice):
     below, join = L.below, L.join
     irreducible = 0
     for j, covers in enumerate(L.lower_cover_masks):
-        if _popcount(covers) == 1:
+        if covers.bit_count() == 1:
             irreducible |= 1 << j
     if all(
         below[v] & irreducible == (bx | by) & irreducible
@@ -423,7 +409,7 @@ def is_complemented(L: FiniteLattice):
 
 def is_uniquely_complemented(L: FiniteLattice):
     for x, comps in enumerate(L.complement_masks):
-        if _popcount(comps) != 1:
+        if comps.bit_count() != 1:
             return False, (x, *islice(_bits(comps), 2))
     return True, None
 
@@ -575,7 +561,7 @@ def mobius(L: FiniteLattice, x: int, y: int) -> int:
     mu = {x: 1}
     # (x, y] by down-set size, so every z comes after the elements below it
     rest = L.strict_above[x] & L.below[y]
-    for z in sorted(_bits(rest), key=lambda z: _popcount(L.below[z])):
+    for z in sorted(_bits(rest), key=lambda z: L.below[z].bit_count()):
         s = 0
         for w in _bits(L.below[z] & L.above[x] & ~(1 << z)):
             s += mu[w]
@@ -593,10 +579,10 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
     # by down-set size, so every chain is an increasing tuple of local indices
-    elems = sorted(L.interval_elements(lo, hi), key=lambda z: _popcount(L.below[z]))
+    members = L.strict_above[lo] & L.strict_below[hi]
+    elems = sorted(_bits(members), key=lambda z: L.below[z].bit_count())
     k = len(elems)
     index_of = {e: i for i, e in enumerate(elems)}
-    members = L.strict_above[lo] & L.strict_below[hi]
     local_above = []
     for e in elems:
         m = 0
@@ -633,7 +619,7 @@ def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
     atom_mask = L.upper_cover_masks[lo] & L.below[hi]
     coatom_mask = L.lower_cover_masks[hi] & L.above[lo]
-    if _popcount(coatom_mask) < _popcount(atom_mask):
+    if coatom_mask.bit_count() < atom_mask.bit_count():
         verts, table, start, stop = list(_bits(coatom_mask)), L.meet, hi, lo
     else:
         verts, table, start, stop = list(_bits(atom_mask)), L.join, lo, hi
@@ -750,7 +736,7 @@ def find_isomorphism(out1, out2, colors1, colors2):
     pool = {}
     for w, c in enumerate(c2):
         pool[c] = pool.get(c, 0) | 1 << w
-    order = sorted(range(n), key=lambda v: _popcount(pool[c1[v]]))
+    order = sorted(range(n), key=lambda v: pool[c1[v]].bit_count())
     image = [0] * n
     done = used = 0  # vertices mapped so far, on each side
     frames = []  # per depth: [untried candidates, wanted out-image, wanted in-image]

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ContractViolation, EquivalenceViolation
+from .errors import ContractViolation
 from .fields import FieldSpec
 from .homology import reduced_homology_ranks
 from .ideals import MonomialIdeal, Monomial, ideal_height, lcm_lattice
@@ -64,14 +64,6 @@ class BettiTable:
         return "\n".join(
             " ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
         )
-
-    def to_json_entries(self) -> list:
-        entries = []
-        for (i, m), r in sorted(
-            self.multigraded.items(), key=lambda kv: (kv[0][0], kv[0][1].exps)
-        ):
-            entries.append({"i": i, "j": m.degree, "m": list(m.exps), "rank": r})
-        return entries
 
 
 @dataclass(frozen=True)
@@ -173,18 +165,6 @@ def boolean_equivalence(
         taylor_minimal=taylor_is_minimal(ideal).is_minimal,
         pd_equals_ngens=table.pd == ideal.ngens,
     )
-
-
-def boolean_equivalence_report(
-    ideal: MonomialIdeal, field: FieldSpec | None = None
-) -> BooleanEquivalence:
-    """:func:`boolean_equivalence` of the ideal; disagreement is an
-    implementation bug and raises."""
-    L = lcm_lattice(ideal)
-    rep = boolean_equivalence(ideal, L, lattice_betti_table(L, field))
-    if not rep.all_agree():
-        raise EquivalenceViolation(f"{ideal}: {rep}")
-    return rep
 
 
 def is_pure(ideal: MonomialIdeal, field: FieldSpec | None = None):

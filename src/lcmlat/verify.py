@@ -46,7 +46,6 @@ from .lattice import (
     is_complemented,
     is_graded,
     is_isomorphic,
-    is_strongly_complemented,
     lattice_from_covers,
     mi_width,
     product,
@@ -102,10 +101,13 @@ CATALOG = {
     "lattice is isomorphic to the lattice",
     "modular-cm": "canonical ideals of modular atomic lattices are "
     "Cohen-Macaulay",
-    "geometric-pd": "geometric, or LSM and coatomic, forces pd = lattice "
-    "height",
-    "strongly-complemented-necessary": "pd = lattice height forces a "
-    "strongly complemented lattice",
+    "geometric-pd": "pd_vs_height_report on the canonical ideals of "
+    "geometric lattices, complete and star edge ideals and seeded ideals: "
+    "pd <= lattice height, geometric or LSM+coatomic forces pd = height, "
+    "and pd = height forces strong complementation",
+    "strongly-complemented-necessary": "pd_vs_height_report, as in "
+    "geometric-pd, on the edge ideals of connected graphs up to 5 vertices, "
+    "the graph fixtures and seeded ideals",
     "product-lemma": "each lattice property holds for a product iff it "
     "holds for both factors; disjoint unions of graphs give product "
     "lattices",
@@ -203,16 +205,6 @@ def _sweep_graphs(max_n: int, jobs: int):
     else:
         per_graph = map(_graph_violations, graphs)
     return len(graphs), [v for found in per_graph for v in found]
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 # -- fixture pools ----------------------------------------------------------------
@@ -377,7 +369,19 @@ def _run_modular_cm(seed, count, field):
     return len(pool), found
 
 
-def _geometric_pd_pool(seed, count):
+def _pd_height_counterexamples(pool, field):
+    """``pd_vs_height_report`` on each (name, ideal) of ``pool``; every
+    implication it finds broken is a counterexample."""
+    found = []
+    for name, ideal in pool:
+        try:
+            pd_vs_height_report(ideal, field)
+        except ContractViolation as exc:
+            found.append(_ideal_ce(name, ideal, str(exc)))
+    return len(pool), found
+
+
+def _run_geometric_pd(seed, count, field):
     pool = [
         ("fano", phan_ideal(cons.fano_lattice())),
         ("graphic-matroid", cons.graphic_matroid_ideal()),
@@ -393,18 +397,7 @@ def _geometric_pd_pool(seed, count):
     rng = random.Random(seed)
     for k in range(count or 100):
         pool.append((f"seeded#{k}", random_ideal(rng, 5, 5, 3)))
-    return pool
-
-
-def _run_geometric_pd(seed, count, field):
-    pool = _geometric_pd_pool(seed, count)
-    found = []
-    for name, ideal in pool:
-        try:
-            pd_vs_height_report(ideal, field)
-        except ContractViolation as exc:
-            found.append(_ideal_ce(name, ideal, str(exc)))
-    return len(pool), found
+    return _pd_height_counterexamples(pool, field)
 
 
 def _run_strongly_complemented(seed, count, field):
@@ -418,15 +411,7 @@ def _run_strongly_complemented(seed, count, field):
     rng = random.Random(seed)
     for k in range(count or 100):
         instances.append((f"seeded#{k}", random_ideal(rng, 5, 5, 3)))
-    found = []
-    for name, ideal in instances:
-        L = lcm_lattice(ideal)
-        pd = lattice_betti_table(L, field).pd
-        if pd == height(L) and not is_strongly_complemented(L)[0]:
-            found.append(
-                _ideal_ce(name, ideal, "pd == height but not strongly complemented")
-            )
-    return len(instances), found
+    return _pd_height_counterexamples(instances, field)
 
 
 _PRODUCT_PROPERTIES = (
@@ -533,7 +518,7 @@ def run_cases(ids, *, max_n=6, seed=0, char=None, jobs=1, count=None):
         total, found = _sweep_graphs(max_n, jobs)
         elapsed = time.time() - t0
         for i in graph_ids:
-            ces = [{"graph": g, "detail": _plain(d)} for c, g, d in found if c == i]
+            ces = [{"graph": g, "detail": d} for c, g, d in found if c == i]
             results[i] = VerificationResult(i, total, ces, elapsed)
     for i in ids:
         if i not in results:

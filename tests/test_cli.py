@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import tracemalloc
 import types
 
 import pytest
@@ -130,6 +131,23 @@ def test_ideal_subcommands(capsys, monkeypatch, tmp_path):
     assert {(e["i"], e["j"]) for e in entries} == {(0, 0), (1, 4), (2, 6), (3, 7)}
     code, out, _ = run(capsys, ["ideal", "betti", str(f), "--char", "2"])
     assert out.splitlines()[-1].split() == ["4:", "-", "-", "14", "8"]
+
+
+@pytest.mark.parametrize(
+    "sub",
+    ["lcm", "height", "taylor-minimal", "polarize", "minimal",
+     "betti", "pd", "cm", "pure"],
+)
+def test_char_only_where_a_field_is_used(capsys, tmp_path, sub):
+    f = tmp_path / "two.ideal"
+    f.write_text("x1*x2\nx2*x3\n")
+    code, out, err = run(capsys, ["ideal", sub, str(f), "--char", "4"])
+    assert code == 1
+    assert out == ""
+    if sub in ("betti", "pd", "cm", "pure"):
+        assert err == "lcmlat: error: field characteristic must be 0 or prime, got 4\n"
+    else:
+        assert err.endswith("lcmlat: error: unrecognized arguments: --char 4\n")
 
 
 def test_ideal_polarize_and_lcm(capsys, monkeypatch, tmp_path):
@@ -322,6 +340,23 @@ def test_json_parsers_accept_only_integers(capsys, monkeypatch, argv, obj):
     assert out == ""
     assert err.startswith("lcmlat: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_graph_props_refuses_a_huge_sparse_graph_without_building_it(
+    capsys, monkeypatch
+):
+    # 1 edge cannot connect 20,000,000 vertices; nothing of size n is built
+    text = dumps_json({"n": 20_000_000, "edges": [[0, 1]]})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["graph", "props", "-"], text, monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err == "lcmlat: error: the characterizations need a connected graph\n"
+    assert peak < 1 << 20
 
 
 def test_lattice_json_label_validation():

@@ -71,7 +71,7 @@ def test_fano_lattice_fixture():
     # labels are consistent with the order: label of join = lcm of labels
     for x in range(F.n):
         for y in range(F.n):
-            j = F.join_of(x, y)
+            j = F.join[x][y]
             assert F.labels[j] == F.labels[x].lcm(F.labels[y])
 
 

@@ -70,7 +70,10 @@ def test_induced_subgraph_predicates():
 def _complement_is_c4_free(G):
     """No induced 4-cycle in the complement of G, read off the complement's
     edge set: an independent check of the 2K2 scan in is_gap_free."""
-    co = {e for e in itertools.combinations(range(G.n), 2) if not G.has_edge(*e)}
+    co = {
+        (u, v) for u, v in itertools.combinations(range(G.n), 2)
+        if not G.adjacency[u] >> v & 1
+    }
     for quad in itertools.combinations(range(G.n), 4):
         es = [e for e in itertools.combinations(quad, 2) if e in co]
         if len(es) == 4 and all(sum(v in e for e in es) == 2 for v in quad):
@@ -97,6 +100,32 @@ def test_clique_with_unique_attachment():
     assert not has_clique_with_unique_attachment(cycle(5))
     assert not has_clique_with_unique_attachment(graph_fixture("fig5"))
     assert not has_clique_with_unique_attachment(path(5))
+
+
+def _clique_with_pendants_nx(G):
+    """Some clique of ``nx.enumerate_all_cliques`` whose outside vertices all
+    have degree 1 and their neighbour inside it."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(G.n))
+    g.add_edges_from(G.edges)
+    return any(
+        all(g.degree(v) == 1 and set(g[v]) <= set(H) for v in g if v not in H)
+        for H in nx.enumerate_all_cliques(g)
+    )
+
+
+def test_clique_with_unique_attachment_against_networkx():
+    graphs = [
+        graph_from_mask(n, mask)
+        for n in range(2, 6)
+        for mask in connected_graph_masks(n)
+    ]
+    graphs += connected_nonisomorphic_graphs(6) + connected_nonisomorphic_graphs(7)
+    verdicts = [has_clique_with_unique_attachment(G) for G in graphs]
+    assert verdicts == [_clique_with_pendants_nx(G) for G in graphs]
+    assert (len(graphs), sum(verdicts)) == (1736, 234)
 
 
 def _sets_without_isolated_vertices(G):

@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_field_spec_validation():
-    assert FieldSpec(0).is_rational
+    assert FieldSpec(0).characteristic == 0
     assert str(FieldSpec(2)) == "GF(2)"
     with pytest.raises(BadParameter):
         FieldSpec(4)

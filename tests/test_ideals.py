@@ -35,6 +35,13 @@ def ideal(*gens):
     return minimalize([mono(*g) for g in gens])
 
 
+@pytest.mark.parametrize("exps", [(1.9, 0.5), ("2", 1), (1, -1)])
+def test_monomial_rejects_non_integer_and_negative_exponents(exps):
+    # never truncated or coerced: (1.9, 0.5) is not x1, ("2", 1) is not x1^2*x2
+    with pytest.raises(ValueError):
+        Monomial(exps)
+
+
 def test_minimalize_keeps_minimal_generators():
     assert ideal((1, 0), (1, 1)).gens == (mono(1, 0),)
     assert ideal((1, 1, 0), (0, 1, 1)).ngens == 2

@@ -323,8 +323,8 @@ def test_witnesses_violate_definitions():
     assert rep["modular"].witness == "not graded"
     M3 = mn_lattice(3)
     x, y, z = property_report(M3)["distributive"].witness
-    meet, join = M3.meet_of, M3.join_of
-    assert meet(x, join(y, z)) != join(meet(x, y), meet(x, z))
+    meet, join = M3.meet, M3.join
+    assert meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]
 
 
 def test_from_below_masks_handles_shuffled_indices(lattice_pool):
@@ -369,19 +369,19 @@ def test_false_witnesses_violate_definitions_exactly(lattice_pool):
             verdict, w = is_modular(L)
             if not verdict:
                 x, y = w
-                assert rk[x] + rk[y] != rk[L.meet_of(x, y)] + rk[L.join_of(x, y)]
+                assert rk[x] + rk[y] != rk[L.meet[x][y]] + rk[L.join[x][y]]
             verdict, w = is_upper_semimodular(L)
             if not verdict:
                 x, y = w
-                assert rk[x] + rk[y] < rk[L.meet_of(x, y)] + rk[L.join_of(x, y)]
+                assert rk[x] + rk[y] < rk[L.meet[x][y]] + rk[L.join[x][y]]
             verdict, w = is_lower_semimodular(L)
             if not verdict:
                 x, y = w
-                assert rk[x] + rk[y] > rk[L.meet_of(x, y)] + rk[L.join_of(x, y)]
+                assert rk[x] + rk[y] > rk[L.meet[x][y]] + rk[L.join[x][y]]
         verdict, w = is_complemented(L)
         if not verdict:
             (x,) = w
             assert all(
-                L.meet_of(x, y) != L.bottom or L.join_of(x, y) != L.top
+                L.meet[x][y] != L.bottom or L.join[x][y] != L.top
                 for y in range(L.n)
             )

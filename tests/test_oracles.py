@@ -55,7 +55,7 @@ def _law_modular(L):
             if not L.leq(x, z):
                 continue
             for y in range(L.n):
-                if L.join_of(x, L.meet_of(y, z)) != L.meet_of(L.join_of(x, y), z):
+                if L.join[x][L.meet[y][z]] != L.meet[L.join[x][y]][z]:
                     return False
     return True
 
@@ -65,9 +65,9 @@ def _cover_usm(L):
     ups = L.upper_cover_masks
     for x in range(L.n):
         for y in range(L.n):
-            m = L.meet_of(x, y)
+            m = L.meet[x][y]
             if (ups[m] >> x) & 1 and (ups[m] >> y) & 1:
-                j = L.join_of(x, y)
+                j = L.join[x][y]
                 if not ((ups[x] >> j) & 1 and (ups[y] >> j) & 1):
                     return False
     return True
@@ -77,9 +77,9 @@ def _cover_lsm(L):
     downs = L.lower_cover_masks
     for x in range(L.n):
         for y in range(L.n):
-            j = L.join_of(x, y)
+            j = L.join[x][y]
             if (downs[j] >> x) & 1 and (downs[j] >> y) & 1:
-                m = L.meet_of(x, y)
+                m = L.meet[x][y]
                 if not ((downs[x] >> m) & 1 and (downs[y] >> m) & 1):
                     return False
     return True
@@ -94,7 +94,7 @@ def _brute_supersolvable(L):
 
     def element_modular(m):
         return all(
-            rk[x] + rk[m] == rk[L.meet_of(x, m)] + rk[L.join_of(x, m)]
+            rk[x] + rk[m] == rk[L.meet[x][m]] + rk[L.join[x][m]]
             for x in range(L.n)
         )
 
@@ -231,16 +231,17 @@ def _complements(L, x):
     """Every y with x ^ y = bottom and x v y = top."""
     return [
         y for y in range(L.n)
-        if L.meet_of(x, y) == L.bottom and L.join_of(x, y) == L.top
+        if L.meet[x][y] == L.bottom and L.join[x][y] == L.top
     ]
 
 
-def _subset_bounds(L, gens, start, combine):
-    """Bitmask of combine-folds, from start, of every subset of gens: each
-    generator in turn is added to, or left out of, every fold so far."""
+def _subset_bounds(L, gens, start, table):
+    """Bitmask of the folds through ``table`` (meet or join), from start, of
+    every subset of gens: each generator in turn is added to, or left out
+    of, every fold so far."""
     folds = {start}
     for g in gens:
-        folds |= {combine(v, g) for v in folds}
+        folds |= {table[v][g] for v in folds}
     return sum(1 << v for v in folds)
 
 
@@ -251,12 +252,13 @@ def _first_bad(items, holds):
     return (True, None) if bad is None else (False, bad)
 
 
-def _generated(x, gens, start, combine, below):
-    """Whether x is the combine-fold, from start, of the gens below it."""
+def _generated(x, gens, start, table, below):
+    """Whether x is the fold through ``table``, from start, of the gens below
+    it."""
     acc = start
     for g in gens:
         if below(g, x):
-            acc = combine(acc, g)
+            acc = table[acc][g]
     return acc == x
 
 
@@ -272,14 +274,14 @@ def test_complement_and_generation_predicates_match_definitions(
     lattice_pool, relabelled_pool
 ):
     # verdicts and witnesses of the bitset predicates against their
-    # definitions, written with meet_of and join_of only
+    # definitions, written with the meet and join tables only
     for name, L in _predicate_lattices(lattice_pool, relabelled_pool):
         elems = range(L.n)
         singles = [(x,) for x in elems]
         comps = [_complements(L, x) for x in elems]
         at, co = atoms(L), coatoms(L)
-        joins = _subset_bounds(L, at, L.bottom, L.join_of)
-        meets = _subset_bounds(L, co, L.top, L.meet_of)
+        joins = _subset_bounds(L, at, L.bottom, L.join)
+        meets = _subset_bounds(L, co, L.top, L.meet)
         assert join_closure_of_atoms(L) == joins, name
         assert meet_closure_of_coatoms(L) == meets, name
 
@@ -295,16 +297,16 @@ def test_complement_and_generation_predicates_match_definitions(
         ), name
 
         assert is_atomic(L) == _first_bad(
-            singles, lambda x: _generated(x, at, L.bottom, L.join_of, L.leq)
+            singles, lambda x: _generated(x, at, L.bottom, L.join, L.leq)
         ), name
         assert is_coatomic(L) == _first_bad(
             singles,
-            lambda x: _generated(x, co, L.top, L.meet_of, lambda g, x: L.leq(x, g)),
+            lambda x: _generated(x, co, L.top, L.meet, lambda g, x: L.leq(x, g)),
         ), name
         assert is_distributive(L) == _first_bad(
             ((x, y, z) for x in elems for y in elems for z in elems),
-            lambda x, y, z: L.meet_of(x, L.join_of(y, z))
-            == L.join_of(L.meet_of(x, y), L.meet_of(x, z)),
+            lambda x, y, z: L.meet[x][L.join[y][z]]
+            == L.join[L.meet[x][y]][L.meet[x][z]],
         ), name
 
 
@@ -497,8 +499,8 @@ def test_meet_and_join_tables_match_brute_force_from_leq(lattice_pool, relabelle
         geq = lambda a, b: L.leq(b, a)  # noqa: E731
         for x in range(L.n):
             for y in range(x + 1):
-                assert L.meet_of(x, y) == L.meet_of(y, x) == _brute_bound(L.n, x, y, L.leq)
-                assert L.join_of(x, y) == L.join_of(y, x) == _brute_bound(L.n, x, y, geq)
+                assert L.meet[x][y] == L.meet[y][x] == _brute_bound(L.n, x, y, L.leq)
+                assert L.join[x][y] == L.join[y][x] == _brute_bound(L.n, x, y, geq)
         assert all(L.leq(L.bottom, z) and L.leq(z, L.top) for z in range(L.n))
 
 

@@ -6,14 +6,15 @@ import pytest
 
 from lcmlat.errors import ResourceLimit
 from lcmlat.fields import FieldSpec
-from lcmlat.ideals import Monomial, minimalize, phan_ideal
+from lcmlat.ideals import Monomial, lcm_lattice, minimalize, phan_ideal
 from lcmlat.constructions import fano_lattice, graphic_matroid_ideal, subspace_lattice
 from lcmlat.graphs import complete, edge_ideal, graph_fixture, path, star
 from lcmlat.resolutions import (
     betti_table,
-    boolean_equivalence_report,
+    boolean_equivalence,
     is_cohen_macaulay,
     is_pure,
+    lattice_betti_table,
     pd_vs_height_report,
     projective_dimension,
     taylor_is_minimal,
@@ -85,7 +86,9 @@ def test_boolean_equivalence_cases():
         ((((1, 1, 0), (0, 1, 1), (1, 0, 1))), False),
         ((((2, 0), (0, 3))), True),
     ]:
-        rep = boolean_equivalence_report(ideal(*gens))
+        I = ideal(*gens)
+        L = lcm_lattice(I)
+        rep = boolean_equivalence(I, L, lattice_betti_table(L))
         assert rep.all_agree()
         assert rep.lattice_is_boolean is verdict
 
