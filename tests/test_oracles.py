@@ -8,20 +8,31 @@ whose resolutions are classical.
 
 from __future__ import annotations
 
+import ast
+import random
+from itertools import combinations
 from math import comb
+from pathlib import Path
 
+import lcmlat.taylor
 from lcmlat.fields import FieldSpec
-from lcmlat.homology import euler_characteristic, reduced_homology_ranks
+from lcmlat.homology import (
+    SparseColumns,
+    euler_characteristic,
+    reduced_homology_ranks,
+    sparse_rank,
+)
 from lcmlat.graphs import (
     complete,
     connected_graph_masks,
+    connected_nonisomorphic_graphs,
     cycle,
     edge_ideal,
     edge_ideal_lattice,
     graph_from_mask,
     star,
 )
-from lcmlat.ideals import lcm_lattice
+from lcmlat.ideals import Monomial, lcm_lattice
 from lcmlat.lattice import (
     atoms,
     coatoms,
@@ -46,6 +57,7 @@ from lcmlat.lattice import (
 )
 from lcmlat.resolutions import betti_table, lattice_betti_table
 from lcmlat.taylor import taylor_betti
+from lcmlat.verify import random_ideal
 
 
 def _law_modular(L):
@@ -189,6 +201,126 @@ def test_cycle8_betti_matches_taylor_and_moebius():
         )
         assert euler == mobius(L, L.bottom, m), L.labels[m]
 
+
+
+def test_dense_six_vertex_graphs_agree_on_both_routes():
+    # the 9 connected 6-vertex classes with 12-15 edges, K6 included: the
+    # largest Taylor complexes (up to 2^15 subsets) tier-1 builds
+    dense = [G for G in connected_nonisomorphic_graphs(6) if len(G.edges) >= 12]
+    assert len(dense) == 9 and max(len(G.edges) for G in dense) == 15
+    for G in dense:
+        I = edge_ideal(G)
+        L = lcm_lattice(I)
+        for char in (2, 32003):
+            interval = lattice_betti_table(L, FieldSpec(char)).multigraded
+            assert interval == taylor_betti(I, FieldSpec(char)), (G.edges, char)
+
+
+def _taylor_reference(ideal, field):
+    """The Taylor complex as written: subsets are sorted tuples, each
+    multidegree keeps the subsets with that lcm, every boundary column is
+    reduced and none is skipped, and the ranks come from
+    ``homology.sparse_rank``, not from the oracle's own elimination."""
+    lcm_of = {
+        sigma: tuple(
+            max((ideal.gens[g].exps[v] for g in sigma), default=0)
+            for v in range(ideal.nvars)
+        )
+        for size in range(ideal.ngens + 1)
+        for sigma in combinations(range(ideal.ngens), size)
+    }
+    out = {}
+    for exps in set(lcm_of.values()):
+        by_size = {}
+        for sigma, m in lcm_of.items():
+            if m == exps:
+                by_size.setdefault(len(sigma), []).append(sigma)
+        rank = {}
+        for size, cols in by_size.items():
+            rows = {tau: k for k, tau in enumerate(by_size.get(size - 1, []))}
+            columns = [
+                {rows[tau]: (-1) ** k for k in range(size)
+                 if (tau := sigma[:k] + sigma[k + 1:]) in rows}
+                for sigma in cols
+            ]
+            rank[size] = sparse_rank(SparseColumns(len(rows), columns), field)
+        for size, cols in by_size.items():
+            if betti := len(cols) - rank[size] - rank.get(size + 1, 0):
+                out[(size, Monomial(exps))] = betti
+    return out
+
+
+def test_clearing_matches_the_taylor_complex_reduced_in_full():
+    rng = random.Random(17)
+    for k in range(60):
+        I = random_ideal(rng, 5, 8, 3)
+        for char in (2, 3, 0):
+            field = FieldSpec(char)
+            assert taylor_betti(I, field) == _taylor_reference(I, field), (k, char, str(I))
+
+
+def test_taylor_oracle_imports_only_errors_fields_and_ideals():
+    # the oracle shares the field conventions and the ideal type, and no
+    # code of the lattice or homology route
+    tree = ast.parse(Path(lcmlat.taylor.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:
+                internal |= {alias.name for alias in node.names}
+            elif node.level or node.module.split(".")[0] == "lcmlat":
+                internal.add(node.module.removeprefix("lcmlat."))
+        elif isinstance(node, ast.Import):
+            internal |= {
+                alias.name.removeprefix("lcmlat.")
+                for alias in node.names if alias.name.split(".")[0] == "lcmlat"
+            }
+    assert internal == {"errors", "fields", "ideals"}
+
+
+def _longest_chains(L):
+    """Length of the longest chain from the bottom to each element, found by
+    walking every chain bottom < x1 < x2 < ... of the strict order."""
+    best = [0] * L.n
+    stack = [(L.bottom, 0)]
+    while stack:
+        x, length = stack.pop()
+        best[x] = max(best[x], length)
+        stack.extend((y, length + 1) for y in range(L.n) if y != x and L.leq(x, y))
+    return tuple(best)
+
+
+def test_covers_and_chain_ranks_match_their_definitions(lattice_pool, relabelled_pool):
+    lattices = [
+        *lattice_pool.items(),
+        *((f"{name} relabelled", L) for name, L in relabelled_pool.items()),
+    ]
+    for name, L in lattices:
+        less = [[L.leq(x, y) and x != y for y in range(L.n)] for x in range(L.n)]
+        ups = tuple(
+            sum(
+                1 << y for y in range(L.n)
+                if less[x][y] and not any(less[x][z] and less[z][y] for z in range(L.n))
+            )
+            for x in range(L.n)
+        )
+        downs = tuple(sum(1 << x for x in range(L.n) if ups[x] >> y & 1) for y in range(L.n))
+        assert L.upper_cover_masks == ups, name
+        assert L.lower_cover_masks == downs, name
+        assert L.chain_ranks == _longest_chains(L), name
+    # a 1200-element chain numbered at random: position k is covered by
+    # position k + 1 only, and its longest chain has length k
+    pos = random.Random(7).sample(range(1200), 1200)
+    C = lattice_from_covers(1200, [(pos[k], pos[k + 1]) for k in range(1199)])
+    ups, downs, ranks = [0] * 1200, [0] * 1200, [0] * 1200
+    for k, x in enumerate(pos):
+        ranks[x] = k
+        if k < 1199:
+            ups[x] = 1 << pos[k + 1]
+            downs[pos[k + 1]] = 1 << x
+    assert C.upper_cover_masks == tuple(ups)
+    assert C.lower_cover_masks == tuple(downs)
+    assert C.chain_ranks == tuple(ranks)
 
 def _nonzero_homology(K):
     return {d: r for d, r in reduced_homology_ranks(K, FieldSpec(0)).items() if r}
