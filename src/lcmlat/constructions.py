@@ -80,6 +80,8 @@ def mn_lattice(n: int) -> FiniteLattice:
     """Height-2 lattice M_n: bottom, n pairwise-incomparable atoms, top."""
     if n < 1:
         raise BadParameter("mn_lattice needs n >= 1")
+    if n + 2 > MAX_ELEMENTS:
+        raise TooLarge(f"M_{n} has {n + 2} elements, over the capacity {MAX_ELEMENTS}")
     covers = [(0, i) for i in range(1, n + 1)] + [(i, n + 1) for i in range(1, n + 1)]
     return lattice_from_covers(n + 2, covers)
 

@@ -13,6 +13,7 @@ from .lattice import (
     FiniteLattice,
     PropertyReport,
     _bits,
+    _reach,
     find_isomorphism,
     open_interval_is_connected,
     property_report,
@@ -60,19 +61,8 @@ class Graph:
         # first keeps a huge n with few edges from building ``adjacency``
         if len(self.edges) < self.n - 1:
             return False
-        return self.n == 0 or _spans(self.adjacency)
-
-
-def _spans(adj) -> bool:
-    """Bitmask BFS from vertex 0: does it reach every row of ``adj``?"""
-    seen = frontier = 1
-    while frontier:
-        new = 0
-        for v in _bits(frontier):
-            new |= adj[v]
-        frontier = new & ~seen
-        seen |= frontier
-    return seen == (1 << len(adj)) - 1
+        full = (1 << self.n) - 1
+        return self.n == 0 or _reach(self.adjacency, 1, full) == full
 
 
 # -- families and fixtures -----------------------------------------------------
@@ -372,13 +362,14 @@ def connected_graph_masks(n: int):
     """Edge-subset masks of all connected nontrivial labeled graphs on n
     vertices, ascending."""
     pairs = _edge_list(n)
+    full = (1 << n) - 1
     for mask in range(1, 1 << len(pairs)):
         adj = [0] * n
         for i in _bits(mask):
             u, v = pairs[i]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if _spans(adj):
+        if _reach(adj, 1, full) == full:
             yield mask
 
 

@@ -12,6 +12,7 @@ from .lattice import (
     FiniteLattice,
     atoms,
     find_isomorphism,
+    is_atomic,
     lattice_of_sets,
     meet_irreducibles,
 )
@@ -154,20 +155,21 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     monomial labels; the empty subset contributes 1 as the bottom.  Elements
     are ordered by (degree, exponent vector)."""
     masks, offsets = _polarization(ideal)
-    current = set(masks)
+    current = {0, *masks}
     frontier = masks
     while frontier:
         new = []
         for m in frontier:
+            # checked before each expansion, which adds at most one element
+            # per generator, so the set never far outgrows the cap
+            if len(current) > MAX_ELEMENTS:
+                raise TooLarge("LCM lattice exceeds the element capacity")
             for g in masks:
                 u = m | g
                 if u not in current:
                     current.add(u)
                     new.append(u)
-        if len(current) > MAX_ELEMENTS:
-            raise TooLarge("LCM lattice exceeds the element capacity")
         frontier = new
-    current.add(0)
     blocks = [(lo, (1 << (hi - lo)) - 1) for lo, hi in zip(offsets, offsets[1:])]
     labels = {
         m: Monomial(tuple(((m >> lo) & ones).bit_count() for lo, ones in blocks))
@@ -191,15 +193,13 @@ def phan_ideal(L: FiniteLattice) -> MonomialIdeal:
     meet-irreducible element m (ascending element index), and for each atom b
     the generator  prod { x_m : b not below m }.  Its LCM lattice recovers L.
     """
-    from .lattice import is_atomic
-
-    ok, _ = is_atomic(L)
-    if not ok or not atoms(L):
+    ats = atoms(L)
+    if not is_atomic(L)[0] or not ats:
         raise NotAtomic("the Phan construction needs an atomic lattice with atoms")
     mi = meet_irreducibles(L)
     nvars = len(mi)
     gens = []
-    for b in atoms(L):
+    for b in ats:
         exps = [0] * nvars
         for v, m in enumerate(mi):
             if not L.leq(b, m):

@@ -72,6 +72,33 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _generated(gens: int, start: int, table, order) -> int:
+    """Bitmask of the elements x whose fold through table (meet or join),
+    from start, over the generators in gens & order[x] is x itself."""
+    mask = 0
+    for x, below_x in enumerate(order):
+        acc = start
+        for g in _bits(gens & below_x):
+            acc = table[acc][g]
+        if acc == x:
+            mask |= 1 << x
+    return mask
+
+
+def _reach(rows, seed: int, within: int) -> int:
+    """Bitmask of the vertices of ``within`` reachable from the vertices in
+    ``seed`` along ``rows`` (rows[v] = neighbour bitmask of v), seed
+    included: a breadth-first search, one frontier per round."""
+    seen = frontier = seed
+    while frontier:
+        new = 0
+        for v in _bits(frontier):
+            new |= rows[v]
+        frontier = new & within & ~seen
+        seen |= frontier
+    return seen
+
+
 class FiniteLattice:
     """Immutable finite bounded lattice.
 
@@ -152,6 +179,11 @@ class FiniteLattice:
         return tuple(m & ~(1 << i) for i, m in enumerate(self.above))
 
     @cached_property
+    def comparable(self) -> tuple:
+        """comparable[v] = bitmask of the elements comparable with v."""
+        return tuple(b | a for b, a in zip(self.below, self.above))
+
+    @cached_property
     def upper_cover_masks(self) -> tuple:
         """upper_cover_masks[i] = bitmask of the elements covering i: the
         minimal elements of its strict up-set.  Each surviving candidate
@@ -219,6 +251,22 @@ class FiniteLattice:
                 shares |= self.below[g]
             out.append(full & ~shares)
         return tuple(out)
+
+    @cached_property
+    def join_closure_of_atoms(self) -> int:
+        """Bitmask of the joins of atom sets, the empty join (the bottom)
+        included.  x is one exactly when it is the join of all atoms below
+        it: an atom set joining to x lies below x, so the join of all atoms
+        below x lies between x and that join."""
+        atom_mask = self.upper_cover_masks[self.bottom]
+        return _generated(atom_mask, self.bottom, self.join, self.below)
+
+    @cached_property
+    def meet_closure_of_coatoms(self) -> int:
+        """Bitmask of the meets of coatom sets, the empty meet (the top)
+        included; dual to ``join_closure_of_atoms``."""
+        coatom_mask = self.lower_cover_masks[self.top]
+        return _generated(coatom_mask, self.top, self.meet, self.above)
 
 
 def _symmetric(lower) -> tuple:
@@ -328,24 +376,18 @@ def _first(flags, start: int = 0):
     return next(compress(count(start), flags), None)
 
 
-def _generated_by(gens: int, start: int, combine, order):
-    """Whether every x is the combine-fold, from start, of the generators in
-    gens & order[x]; the witness of False is the first x that is not."""
-    for x, mask in enumerate(order):
-        acc = start
-        for g in _bits(gens & mask):
-            acc = combine[acc][g]
-        if acc != x:
-            return False, (x,)
-    return True, None
+def _all_of(L: FiniteLattice, mask: int):
+    """Whether mask holds every element; if not, the lowest one it lacks."""
+    x = (~mask & (mask + 1)).bit_length() - 1  # the lowest bit not set
+    return (True, None) if x == L.n else (False, (x,))
 
 
 def is_atomic(L: FiniteLattice):
-    return _generated_by(L.upper_cover_masks[L.bottom], L.bottom, L.join, L.below)
+    return _all_of(L, L.join_closure_of_atoms)
 
 
 def is_coatomic(L: FiniteLattice):
-    return _generated_by(L.lower_cover_masks[L.top], L.top, L.meet, L.above)
+    return _all_of(L, L.meet_closure_of_coatoms)
 
 
 def _rank_identity(L: FiniteLattice, bad_when):
@@ -420,57 +462,24 @@ def is_uniquely_complemented(L: FiniteLattice):
     return True, None
 
 
-def _closure_mask(gens, table, seed: int) -> int:
-    """Bitmask of seed and of everything the generators reach from it under
-    table: a worklist that combines each newly reached element with each
-    generator."""
-    members = 1 << seed
-    reached = [seed]
-    for v in reached:
-        row = table[v]
-        for g in gens:
-            w = row[g]
-            if not (members >> w) & 1:
-                members |= 1 << w
-                reached.append(w)
-    return members
-
-
-def meet_closure_of_coatoms(L: FiniteLattice) -> int:
-    """Bitmask of all meets of coatom subsets (empty meet = top)."""
-    return _closure_mask(coatoms(L), L.meet, L.top)
-
-
-def join_closure_of_atoms(L: FiniteLattice) -> int:
-    """Bitmask of all joins of atom subsets (empty join = bottom)."""
-    return _closure_mask(atoms(L), L.join, L.bottom)
-
-
 def is_strongly_complemented(L: FiniteLattice):
     """Every x needs a complement that is a meet of coatoms and one that is
     a join of atoms."""
-    mi_mask = meet_closure_of_coatoms(L)
-    at_mask = join_closure_of_atoms(L)
-    for x, comps in enumerate(L.complement_masks):
-        if not (comps & mi_mask and comps & at_mask):
-            return False, (x,)
-    return True, None
+    meets, joins = L.meet_closure_of_coatoms, L.join_closure_of_atoms
+    x = _first(not (comps & meets and comps & joins) for comps in L.complement_masks)
+    return (True, None) if x is None else (False, (x,))
 
 
 def is_boolean(L: FiniteLattice):
     """Distributive and complemented (complements are then unique)."""
-    ok, w = is_distributive(L)
-    if not ok:
-        return False, w
-    return is_complemented(L)
+    distributive = is_distributive(L)
+    return is_complemented(L) if distributive[0] else distributive
 
 
 def is_geometric(L: FiniteLattice):
     """Atomic and upper semimodular."""
-    ok, w = is_atomic(L)
-    if not ok:
-        return False, w
-    return is_upper_semimodular(L)
+    atomic = is_atomic(L)
+    return is_upper_semimodular(L) if atomic[0] else atomic
 
 
 def modular_elements_mask(L: FiniteLattice) -> int:
@@ -650,17 +659,7 @@ def open_interval_is_connected(L: FiniteLattice, lo: int, hi: int) -> bool:
     """Comparability-connectedness of the open interval; an empty interval
     counts as connected."""
     members = L.strict_above[lo] & L.strict_below[hi]
-    if members == 0:
-        return True
-    seen = members & -members
-    frontier = seen
-    while frontier:
-        new = 0
-        for v in _bits(frontier):
-            new |= (L.below[v] | L.above[v]) & members
-        frontier = new & ~seen
-        seen |= frontier
-    return seen == members
+    return _reach(L.comparable, members & -members, members) == members
 
 
 # -- duality, products, isomorphism -------------------------------------------

@@ -46,6 +46,7 @@ from .lattice import (
     is_complemented,
     is_graded,
     is_isomorphic,
+    is_modular,
     lattice_from_covers,
     mi_width,
     product,
@@ -355,8 +356,7 @@ def _run_modular_cm(seed, count, field):
     pool = modular_fixture_lattices()
     found = []
     for name, L in pool.items():
-        rep = property_report(L)
-        if not rep.verdict("modular"):
+        if not is_modular(L)[0]:
             found.append({"instance": name, "detail": "fixture not modular"})
             continue
         ideal = phan_ideal(L)

@@ -342,6 +342,19 @@ def test_json_parsers_accept_only_integers(capsys, monkeypatch, argv, obj):
     assert "Traceback" not in err
 
 
+def test_make_mn_refuses_a_huge_n_before_building_covers(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["make", "mn", "--n", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and "Traceback" not in err
+    assert peak < 1 << 20
+
+
 def test_graph_props_refuses_a_huge_sparse_graph_without_building_it(
     capsys, monkeypatch
 ):

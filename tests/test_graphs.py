@@ -206,6 +206,23 @@ def test_enumeration_counts():
     assert sum(1 for _ in connected_graph_masks(5)) == 728
 
 
+def test_connectivity_matches_networkx_on_all_small_graphs():
+    # every labeled graph on 1-5 vertices, edgeless and disconnected ones
+    # included, through both bitmask-search callers
+    import networkx as nx
+
+    for n in range(1, 6):
+        connected = []
+        for mask in range(1 << len(list(itertools.combinations(range(n), 2)))):
+            G = graph_from_mask(n, mask)
+            g = nx.Graph(list(G.edges))
+            g.add_nodes_from(range(n))
+            assert G.is_connected() == nx.is_connected(g), (n, mask)
+            if mask and nx.is_connected(g):
+                connected.append(mask)
+        assert list(connected_graph_masks(n)) == connected, n
+
+
 def test_connected_classes_match_graph_atlas():
     import networkx as nx
 

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
 
-from lcmlat.errors import EmptyGeneratorSet, NotAtomic, UnitGenerator
+from lcmlat.errors import EmptyGeneratorSet, NotAtomic, TooLarge, UnitGenerator
 from lcmlat.ideals import (
     Monomial,
     MonomialIdeal,
@@ -72,6 +73,23 @@ def test_lcm_lattice_is_atomic_with_generator_atoms(lattice_pool):
     assert {L.labels[a] for a in atoms(L)} == set(i1.gens)
     assert L.labels[L.top] == i1.lcm_of_all()
     assert L.labels[L.bottom].is_unit
+
+
+def test_lcm_lattice_cap_stops_the_build_early():
+    # one variable per generator: the first frontier round alone makes
+    # 179,700 lcms, so the cap must act within the round
+    n = 600
+    many = MonomialIdeal(
+        n, tuple(Monomial(tuple(int(i == j) for j in range(n))) for i in range(n))
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            lcm_lattice(many)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_fano_ideal_lattice_roundtrip():

@@ -49,9 +49,7 @@ from lcmlat.lattice import (
     is_supersolvable,
     is_uniquely_complemented,
     is_upper_semimodular,
-    join_closure_of_atoms,
     lattice_from_covers,
-    meet_closure_of_coatoms,
     mobius,
     open_interval_order_complex,
 )
@@ -414,8 +412,8 @@ def test_complement_and_generation_predicates_match_definitions(
         at, co = atoms(L), coatoms(L)
         joins = _subset_bounds(L, at, L.bottom, L.join)
         meets = _subset_bounds(L, co, L.top, L.meet)
-        assert join_closure_of_atoms(L) == joins, name
-        assert meet_closure_of_coatoms(L) == meets, name
+        assert L.join_closure_of_atoms == joins, name
+        assert L.meet_closure_of_coatoms == meets, name
 
         assert is_complemented(L) == _first_bad(singles, lambda x: comps[x]), name
         x = next((x for x in elems if len(comps[x]) != 1), None)
@@ -440,6 +438,18 @@ def test_complement_and_generation_predicates_match_definitions(
             lambda x, y, z: L.meet[x][L.join[y][z]]
             == L.join[L.meet[x][y]][L.meet[x][z]],
         ), name
+
+
+def test_generation_predicates_swap_under_duality(lattice_pool, relabelled_pool):
+    # the dual keeps element ids, so atoms become coatoms, joins become
+    # meets, and every verdict and witness carries over exactly
+    for name, L in _predicate_lattices(lattice_pool, relabelled_pool):
+        D = dual(L)
+        assert is_coatomic(D) == is_atomic(L), name
+        assert is_atomic(D) == is_coatomic(L), name
+        assert is_strongly_complemented(D) == is_strongly_complemented(L), name
+        assert D.meet_closure_of_coatoms == L.join_closure_of_atoms, name
+        assert D.join_closure_of_atoms == L.meet_closure_of_coatoms, name
 
 
 def test_complement_masks_match_the_definition(lattice_pool, relabelled_pool):
