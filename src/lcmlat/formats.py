@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import FormatError
+from .errors import FormatError, TooLarge
 from .graphs import Graph
 from .ideals import Monomial, MonomialIdeal, minimalize
-from .lattice import FiniteLattice, lattice_from_covers, validate_labels
+from .lattice import MAX_ELEMENTS, FiniteLattice, lattice_from_covers, validate_labels
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -42,7 +42,13 @@ def _parse_factors(s: str, where: str) -> dict:
         m = _FACTOR_RE.match(part.strip())
         if not m:
             raise FormatError(f"{where}bad factor {part.strip()!r}")
-        v = int(m.group(1))
+        # a lattice in range needs at most MAX_ELEMENTS variables, one per
+        # meet-irreducible in its Phan ideal; refuse more before exponent
+        # vectors that long exist.  Length first: int() refuses long strings.
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(MAX_ELEMENTS)) or int(digits) > MAX_ELEMENTS:
+            raise TooLarge(f"{where}variable index above the capacity {MAX_ELEMENTS}")
+        v = int(digits)
         if v < 1:
             raise FormatError(f"{where}variable index must be >= 1")
         factors[v] = factors.get(v, 0) + int(m.group(2) or 1)
@@ -71,6 +77,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
 def parse_ideal_json(obj) -> MonomialIdeal:
     try:
         nvars = _int(obj["nvars"], "ideal")
+        if nvars > MAX_ELEMENTS:
+            raise TooLarge(f"variable count {nvars} above the capacity {MAX_ELEMENTS}")
         gens = [Monomial(tuple(_int(e, "ideal") for e in g)) for g in obj["gens"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad ideal JSON: {exc}") from None

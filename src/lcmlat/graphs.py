@@ -184,13 +184,19 @@ def has_clique_with_unique_attachment(G: Graph) -> bool:
     degenerate case where the clique is an edge or a single vertex).
     """
     adj = G.adjacency
-    full = (1 << G.n) - 1
-    for h in range(1, full + 1):
-        if all((adj[v] | 1 << v) & h == h for v in _bits(h)) and all(
-            not adj[v] & ~h and adj[v].bit_count() == 1 for v in _bits(full & ~h)
+    pendants = sum(1 << v for v, a in enumerate(adj) if a.bit_count() == 1)
+    # every vertex outside H is a pendant, so H holds all the others
+    core = ((1 << G.n) - 1) & ~pendants
+    s = pendants
+    while True:  # every submask of the pendants, down to 0
+        h = core | s
+        if h and all((adj[v] | 1 << v) & h == h for v in _bits(h)) and all(
+            adj[v] & h for v in _bits(pendants & ~s)
         ):
             return True
-    return False
+        if s == 0:
+            return False
+        s = (s - 1) & pendants
 
 
 def complemented_via_independent_sets(G: Graph) -> bool:
@@ -199,11 +205,14 @@ def complemented_via_independent_sets(G: Graph) -> bool:
     neighbors in A."""
     adj = G.adjacency
     full = (1 << G.n) - 1
-    unions = []
-    for mask in range(1 << G.n):
-        if all(adj[v] & mask for v in _bits(mask)):
-            unions.append(mask)
-    for a_mask in unions:
+    # nbrs[s] = the union of the neighbourhoods of the vertices in s
+    nbrs = [0]
+    for a in adj:
+        nbrs += [m | a for m in nbrs]
+    for a_mask in range(1 << G.n):
+        # a union of edges: every vertex has a neighbour inside
+        if nbrs[a_mask] & a_mask != a_mask:
+            continue
         trapped = 0
         for v in _bits(full & ~a_mask):
             if adj[v] and not adj[v] & ~a_mask:
@@ -212,11 +221,8 @@ def complemented_via_independent_sets(G: Graph) -> bool:
             continue
         sub = a_mask
         while True:  # every submask of a_mask, down to 0
-            nbrs = 0
-            for v in _bits(sub):
-                nbrs |= adj[v]
             # sub is independent and its neighbours cover the trapped vertices
-            if not nbrs & sub and not trapped & ~nbrs:
+            if not nbrs[sub] & sub and not trapped & ~nbrs[sub]:
                 break
             if sub == 0:
                 return False

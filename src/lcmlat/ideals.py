@@ -93,7 +93,7 @@ class MonomialIdeal:
                 raise ValueError("generator arity mismatch")
             if g.is_unit:
                 raise UnitGenerator("1 is not allowed as a generator")
-        masks, _ = _polarization(self)
+        masks, _ = _polarization(self.gens)
         for (a, ma), (b, mb) in itertools.permutations(zip(self.gens, masks), 2):
             if not ma & ~mb:
                 raise ValueError(f"generators not minimal: {a} divides {b}")
@@ -128,24 +128,27 @@ def minimalize(monomials, nvars=None) -> MonomialIdeal:
         if m.is_unit:
             raise UnitGenerator("1 is not allowed as a generator")
     monomials = sorted(set(monomials), key=lambda m: (m.degree, m.exps))
-    kept = []
-    for m in monomials:
-        if not any(k.divides(m) for k in kept):
+    # a divisor of m comes before it in this order
+    masks, _ = _polarization(monomials)
+    kept, kept_masks = [], []
+    for m, mask in zip(monomials, masks):
+        if all(k & ~mask for k in kept_masks):
             kept.append(m)
+            kept_masks.append(mask)
     return MonomialIdeal(nvars, tuple(kept))
 
 
-def _polarization(ideal: MonomialIdeal):
-    """Generators as polarization bitmasks: variable v, with largest exponent
-    d_v among the generators, owns the d_v bits from offsets[v], and the
-    exponent e sets the low e of them.  lcm is then ``|`` and divisibility
-    ``a & ~b == 0``.  Returns the masks and offsets, whose last entry is the
-    total bit count."""
-    widths = [max(col) for col in zip(*(g.exps for g in ideal.gens))]
+def _polarization(gens):
+    """Monomials of one arity as polarization bitmasks: variable v, with
+    largest exponent d_v among them, owns the d_v bits from offsets[v], and
+    the exponent e sets the low e of them.  lcm is then ``|`` and
+    divisibility ``a & ~b == 0``.  Returns the masks and offsets, whose last
+    entry is the total bit count."""
+    widths = [max(col) for col in zip(*(g.exps for g in gens))]
     offsets = list(itertools.accumulate(widths, initial=0))
     masks = [
         sum(((1 << e) - 1) << off for e, off in zip(g.exps, offsets))
-        for g in ideal.gens
+        for g in gens
     ]
     return masks, offsets
 
@@ -154,7 +157,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """LCM lattice: lcms of generator subsets ordered by divisibility, with
     monomial labels; the empty subset contributes 1 as the bottom.  Elements
     are ordered by (degree, exponent vector)."""
-    masks, offsets = _polarization(ideal)
+    masks, offsets = _polarization(ideal.gens)
     current = {0, *masks}
     frontier = masks
     while frontier:
@@ -182,7 +185,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Standard polarization: the e-th power of a variable spreads over its
     first e slots; the result is squarefree with an isomorphic LCM lattice."""
-    masks, offsets = _polarization(ideal)
+    masks, offsets = _polarization(ideal.gens)
     total = offsets[-1]
     gens = [Monomial(tuple((m >> k) & 1 for k in range(total))) for m in masks]
     return MonomialIdeal(total, tuple(gens))

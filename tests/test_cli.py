@@ -372,6 +372,41 @@ def test_graph_props_refuses_a_huge_sparse_graph_without_building_it(
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # 14 bytes naming variable 10**9: an exponent vector that long
+        # would take about 24 GB
+        (["ideal", "height", "-"], "x1000000000\n"),
+        (["ideal", "height", "-"], "x1*x8193\n"),
+        (["ideal", "height", "-"], "x" + "9" * 5000 + "\n"),
+        (["ideal", "height", "-"], dumps_json({"nvars": 10**9, "gens": [[1]]})),
+        (
+            ["lattice", "check", "-"],
+            dumps_json({"n": 2, "covers": [[0, 1]], "labels": ["1", "x1000000000"]}),
+        ),
+    ],
+)
+def test_variable_index_above_the_cap_is_refused_before_allocating(
+    capsys, monkeypatch, argv, text
+):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv, text, monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and "capacity 8192" in err
+    assert peak < 1 << 20
+
+
+def test_variable_index_at_the_cap_is_accepted(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["ideal", "height", "-"], "x1*x8192\n", monkeypatch)
+    assert (code, out) == (0, "1\n")
+
+
 def test_lattice_json_label_validation():
     bad = {
         "n": 4,

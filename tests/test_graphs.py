@@ -128,6 +128,62 @@ def test_clique_with_unique_attachment_against_networkx():
     assert (len(graphs), sum(verdicts)) == (1736, 234)
 
 
+def _all_labeled_graphs(max_n):
+    """Every labeled graph on 0..max_n vertices, disconnected ones included."""
+    for n in range(max_n + 1):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_mask(n, mask)
+
+
+def _clique_with_pendants_brute(G):
+    """Some non-empty vertex set H, all pairs adjacent, such that every
+    vertex outside H has exactly one edge, and that edge ends in H."""
+    edges = set(G.edges)
+    for k in range(1, G.n + 1):
+        for H in itertools.combinations(range(G.n), k):
+            if not all(pair in edges for pair in itertools.combinations(H, 2)):
+                continue
+            outside = set(range(G.n)) - set(H)
+            if all(
+                len(inc := [e for e in G.edges if v in e]) == 1 and set(inc[0]) & set(H)
+                for v in outside
+            ):
+                return True
+    return False
+
+
+def _complemented_brute(G):
+    """For every union A of a set of edges (the empty set included), the
+    vertices outside A whose neighbours all lie in A, if there are any, are
+    each adjacent to some vertex of one independent set X inside A."""
+    unions = {frozenset()}
+    for e in G.edges:
+        unions |= {u | set(e) for u in unions}
+    nbrs = {v: {u for e in G.edges if v in e for u in e if u != v} for v in range(G.n)}
+    for A in unions:
+        trapped = [v for v in range(G.n) if v not in A and nbrs[v] and nbrs[v] <= A]
+        if trapped and not any(
+            all(not nbrs[x] & set(X) for x in X)
+            and all(nbrs[t] & set(X) for t in trapped)
+            for k in range(len(A) + 1)
+            for X in itertools.combinations(sorted(A), k)
+        ):
+            return False
+    return True
+
+
+def test_graph_side_predicates_match_their_definitions_on_all_small_graphs():
+    # disconnected graphs included: the sweep checks connected ones only
+    graphs = list(_all_labeled_graphs(5))
+    clique = [has_clique_with_unique_attachment(G) for G in graphs]
+    assert clique == [_clique_with_pendants_brute(G) for G in graphs]
+    complemented = [complemented_via_independent_sets(G) for G in graphs]
+    assert complemented == [_complemented_brute(G) for G in graphs]
+    disconnected = [c for G, c in zip(graphs, complemented) if not G.is_connected()]
+    assert (len(graphs), sum(clique), sum(complemented)) == (1100, 211, 788)
+    assert (len(disconnected), sum(disconnected)) == (327, 267)
+
+
 def _sets_without_isolated_vertices(G):
     """Vertex sets whose induced subgraph has no isolated vertex, read off
     the edge list alone; the empty set included."""

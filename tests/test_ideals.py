@@ -49,6 +49,26 @@ def test_minimalize_keeps_minimal_generators():
     assert ideal((2, 0), (2, 1), (0, 3)).gens == (mono(2, 0), mono(0, 3))
 
 
+def test_minimalize_matches_the_pairwise_definition():
+    # the distinct monomials no other one divides, by (degree, exponents);
+    # shorter monomials are padded with zeros to the longest
+    rng = random.Random(41)
+    for _ in range(400):
+        nvars = rng.randint(1, 5)
+        monos = [
+            mono(*(rng.randint(0, 3) for _ in range(rng.randint(1, nvars))))
+            for _ in range(rng.randint(1, 14))
+        ]
+        monos = [m for m in monos if not m.is_unit] or [mono(*[1] * nvars)]
+        width = max(m.nvars for m in monos)
+        padded = {Monomial(m.exps + (0,) * (width - m.nvars)) for m in monos}
+        expected = sorted(
+            (m for m in padded if not any(k != m and k.divides(m) for k in padded)),
+            key=lambda m: (m.degree, m.exps),
+        )
+        assert minimalize(monos).gens == tuple(expected), monos
+
+
 def test_minimalize_errors():
     with pytest.raises(UnitGenerator):
         minimalize([mono(0, 0)])

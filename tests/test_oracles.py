@@ -95,20 +95,20 @@ def _cover_lsm(L):
     return True
 
 
+def _modular_element(L, m):
+    """The rank identity rk(x) + rk(m) == rk(x ^ m) + rk(x v m) for every x."""
+    rk = L.chain_ranks
+    return all(
+        rk[x] + rk[m] == rk[L.meet[x][m]] + rk[L.join[x][m]] for x in range(L.n)
+    )
+
+
 def _brute_supersolvable(L):
     """Enumerate every maximal chain and test the rank identity directly."""
     ok, _ = is_graded(L)
     if not ok:
         return False
-    rk = L.chain_ranks
-
-    def element_modular(m):
-        return all(
-            rk[x] + rk[m] == rk[L.meet[x][m]] + rk[L.join[x][m]]
-            for x in range(L.n)
-        )
-
-    good = [element_modular(m) for m in range(L.n)]
+    good = [_modular_element(L, m) for m in range(L.n)]
     stack = [L.bottom]
 
     def dfs(v):
@@ -157,6 +157,34 @@ def test_supersolvable_agrees_with_chain_enumeration(lattice_pool):
         assert is_supersolvable(L)[0] == _brute_supersolvable(L), name
     for L in _small_graph_lattices():
         assert is_supersolvable(L)[0] == _brute_supersolvable(L)
+
+
+def _covers(L, a, b):
+    """a < b with nothing strictly between them, from leq alone."""
+    return (
+        a != b and L.leq(a, b)
+        and not any(L.leq(a, c) and L.leq(c, b) for c in range(L.n) if c not in (a, b))
+    )
+
+
+def test_supersolvable_witness_is_a_maximal_chain_of_modular_elements(
+    lattice_pool, relabelled_pool
+):
+    lattices = [
+        *lattice_pool.items(),
+        *((f"{name} relabelled", L) for name, L in relabelled_pool.items()),
+        *((f"graph {i}", L) for i, L in enumerate(_small_graph_lattices())),
+    ]
+    chains = 0
+    for name, L in lattices:
+        ok, chain = is_supersolvable(L)
+        if not ok:
+            continue
+        chains += 1
+        assert (chain[0], chain[-1]) == (L.bottom, L.top), name
+        assert all(_covers(L, a, b) for a, b in zip(chain, chain[1:])), name
+        assert all(_modular_element(L, m) for m in chain), name
+    assert chains == 19 + 19 + 264
 
 
 def test_complete_graph_betti_closed_form():
