@@ -12,9 +12,10 @@ import sys
 
 from . import constructions as cons
 from . import formats
-from .errors import LcmLatError
+from .errors import BadParameter, LcmLatError
 from .fields import FieldSpec
 from .graphs import (
+    GRAPH_FIXTURES,
     complete,
     cycle,
     edge_ideal,
@@ -24,6 +25,7 @@ from .graphs import (
     star,
 )
 from .ideals import (
+    Monomial,
     ideal_height,
     is_minimal_ideal,
     lcm_lattice,
@@ -124,8 +126,6 @@ def _cmd_ideal(args) -> int:
 
 
 def _mono_str(exps) -> str:
-    from .ideals import Monomial
-
     return str(Monomial(tuple(exps)))
 
 
@@ -218,9 +218,6 @@ def _cmd_make(args) -> int:
 
 
 def _fixture_json(name: str):
-    from .errors import BadParameter
-    from .graphs import GRAPH_FIXTURES
-
     if name in GRAPH_FIXTURES:
         return formats.graph_to_json(GRAPH_FIXTURES[name])
     if name == "fig3":

@@ -23,6 +23,17 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
+    except ValueError:  # int() refuses literals of more than 4300 digits
+        raise TooLarge(
+            f"JSON integer of more than 4300 digits, beyond the capacity {MAX_ELEMENTS}"
+        ) from None
+
+
 def _int(value, kind: str) -> int:
     """``value`` if it is an int and not a bool: 1.9, true or "0" in a
     ``kind`` JSON file is an error, never truncated or coerced."""
@@ -32,6 +43,26 @@ def _int(value, kind: str) -> int:
 
 
 # -- ideals -------------------------------------------------------------------
+#
+# A lattice in range needs at most MAX_ELEMENTS variables, one per
+# meet-irreducible in its Phan ideal, so the parsers refuse a larger variable
+# index or count before exponent vectors that long exist.  They refuse an
+# exponent above MAX_ELEMENTS too: polarization turns exponent e into e
+# variables.
+
+
+def _capped(n: int, what: str, where: str = "") -> int:
+    """``n``, or TooLarge when it is above MAX_ELEMENTS."""
+    if n > MAX_ELEMENTS:
+        raise TooLarge(f"{where}{what} above the capacity {MAX_ELEMENTS}")
+    return n
+
+
+def _capped_digits(digits: str, what: str, where: str) -> int:
+    # length first: int() refuses strings of more than 4300 digits
+    digits = digits.lstrip("0") or "0"
+    short = len(digits) <= len(str(MAX_ELEMENTS))
+    return _capped(int(digits) if short else MAX_ELEMENTS + 1, what, where)
 
 
 def _parse_factors(s: str, where: str) -> dict:
@@ -42,16 +73,11 @@ def _parse_factors(s: str, where: str) -> dict:
         m = _FACTOR_RE.match(part.strip())
         if not m:
             raise FormatError(f"{where}bad factor {part.strip()!r}")
-        # a lattice in range needs at most MAX_ELEMENTS variables, one per
-        # meet-irreducible in its Phan ideal; refuse more before exponent
-        # vectors that long exist.  Length first: int() refuses long strings.
-        digits = m.group(1).lstrip("0") or "0"
-        if len(digits) > len(str(MAX_ELEMENTS)) or int(digits) > MAX_ELEMENTS:
-            raise TooLarge(f"{where}variable index above the capacity {MAX_ELEMENTS}")
-        v = int(digits)
+        v = _capped_digits(m.group(1), "variable index", where)
         if v < 1:
             raise FormatError(f"{where}variable index must be >= 1")
-        factors[v] = factors.get(v, 0) + int(m.group(2) or 1)
+        e = _capped_digits(m.group(2) or "1", "exponent", where)
+        factors[v] = _capped(factors.get(v, 0) + e, "exponent", where)
     return factors
 
 
@@ -76,10 +102,11 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
 
 def parse_ideal_json(obj) -> MonomialIdeal:
     try:
-        nvars = _int(obj["nvars"], "ideal")
-        if nvars > MAX_ELEMENTS:
-            raise TooLarge(f"variable count {nvars} above the capacity {MAX_ELEMENTS}")
-        gens = [Monomial(tuple(_int(e, "ideal") for e in g)) for g in obj["gens"]]
+        nvars = _capped(_int(obj["nvars"], "ideal"), "variable count")
+        gens = [
+            Monomial(tuple(_capped(_int(e, "ideal"), "exponent") for e in g))
+            for g in obj["gens"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad ideal JSON: {exc}") from None
     for g in gens:
@@ -90,11 +117,7 @@ def parse_ideal_json(obj) -> MonomialIdeal:
 
 def parse_ideal(text: str) -> MonomialIdeal:
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
-        return parse_ideal_json(obj)
+        return parse_ideal_json(_loads(text))
     return parse_ideal_text(text)
 
 
@@ -117,10 +140,7 @@ def lattice_to_json(L: FiniteLattice) -> dict:
 
 
 def parse_lattice(text: str) -> FiniteLattice:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
+    obj = _loads(text)
     try:
         n = _int(obj["n"], "lattice")
         covers = [(_int(a, "lattice"), _int(b, "lattice")) for a, b in obj["covers"]]
@@ -160,10 +180,7 @@ def graph_to_json(G: Graph) -> dict:
 
 
 def parse_graph(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
+    obj = _loads(text)
     try:
         edges = tuple((_int(u, "graph"), _int(v, "graph")) for u, v in obj["edges"])
         return Graph(_int(obj["n"], "graph"), edges)

@@ -7,9 +7,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .errors import BadParameter, NoEdges, TheoremViolation
+from .errors import BadParameter, NoEdges, TheoremViolation, TooLarge
 from .ideals import Monomial, MonomialIdeal, lcm_lattice
 from .lattice import (
+    MAX_ELEMENTS,
     FiniteLattice,
     PropertyReport,
     _bits,
@@ -31,6 +32,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise BadParameter(f"vertex count {self.n} is negative")
+        _check_size(self.n, len(self.edges))
         norm = []
         for u, v in self.edges:
             if u == v:
@@ -57,32 +59,41 @@ class Graph:
         return self.adjacency[v].bit_count()
 
     def is_connected(self) -> bool:
-        # fewer than n - 1 edges cannot connect n vertices; deciding that
-        # first keeps a huge n with few edges from building ``adjacency``
-        if len(self.edges) < self.n - 1:
-            return False
         full = (1 << self.n) - 1
         return self.n == 0 or _reach(self.adjacency, 1, full) == full
 
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse more than MAX_ELEMENTS vertices or edges: each edge is an atom
+    of the edge ideal's LCM lattice."""
+    for what, k in (("vertex", n), ("edge", m)):
+        if k > MAX_ELEMENTS:
+            raise TooLarge(f"graph {what} count {k} above the capacity {MAX_ELEMENTS}")
+
+
 # -- families and fixtures -----------------------------------------------------
+#
+# Each family checks its size before it lists its edges.
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise BadParameter("path needs n >= 1")
+    _check_size(n, n - 1)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadParameter("cycle needs n >= 3")
+    _check_size(n, n)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise BadParameter("complete graph needs n >= 1")
+    _check_size(n, n * (n - 1) // 2)
     return Graph(n, tuple(itertools.combinations(range(n), 2)))
 
 
@@ -90,6 +101,7 @@ def star(n: int) -> Graph:
     """Star on n vertices: vertex 0 joined to every other vertex."""
     if n < 2:
         raise BadParameter("star needs n >= 2")
+    _check_size(n, n - 1)
     return Graph(n, tuple((0, i) for i in range(1, n)))
 
 
@@ -149,19 +161,20 @@ def is_gap_free(G: Graph) -> bool:
     return True
 
 
+def _meets_every_edge(G: Graph) -> list:
+    """For each edge ab, whether it shares a vertex with every edge: the
+    edges that meet ab, ab included, number deg a + deg b - 1."""
+    deg = [a.bit_count() for a in G.adjacency]
+    return [deg[a] + deg[b] - 1 == len(G.edges) for a, b in G.edges]
+
+
 def has_no_disjoint_edges(G: Graph) -> bool:
-    for e, f in itertools.combinations(G.edges, 2):
-        if not set(e) & set(f):
-            return False
-    return True
+    return all(_meets_every_edge(G))
 
 
 def has_universal_edge(G: Graph) -> bool:
     """Some edge shares a vertex with every other edge."""
-    for e in G.edges:
-        if all(set(e) & set(f) for f in G.edges):
-            return True
-    return False
+    return any(_meets_every_edge(G))
 
 
 def min_degree(G: Graph) -> int:
@@ -170,9 +183,7 @@ def min_degree(G: Graph) -> int:
 
 def is_star(G: Graph) -> bool:
     """Some vertex is incident to every edge."""
-    if not G.nontrivial:
-        return False
-    return any(all(v in e for e in G.edges) for v in range(G.n))
+    return G.nontrivial and any(G.degree(v) == len(G.edges) for v in range(G.n))
 
 
 def has_clique_with_unique_attachment(G: Graph) -> bool:

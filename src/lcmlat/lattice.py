@@ -17,6 +17,7 @@ from operator import add, and_, eq, gt, lt, ne, not_
 from typing import Sequence
 
 from .errors import CyclicCovers, NotALattice, NotBounded, NotComparable
+from .homology import SimplicialComplexData
 
 #: Hard cap on element count.  The meet and join tables hold 2 * n**2 row
 #: references, which a build fills row by row rather than failing at once.
@@ -605,8 +606,6 @@ def mobius(L: FiniteLattice, x: int, y: int) -> int:
 
 def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
     """Order complex of {z : lo < z < hi}: all chains, empty face included."""
-    from .homology import SimplicialComplexData
-
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
     # by down-set size, so every chain is an increasing tuple of local indices
@@ -644,8 +643,6 @@ def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
     of them whose meet is not lo.  Faces are sorted tuples of indices into
     ``vertices``, listed in sorted order, empty face included.
     """
-    from .homology import SimplicialComplexData
-
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
     atom_mask = L.upper_cover_masks[lo] & L.below[hi]

@@ -107,8 +107,9 @@ CATALOG = {
     "pd <= lattice height, geometric or LSM+coatomic forces pd = height, "
     "and pd = height forces strong complementation",
     "strongly-complemented-necessary": "pd_vs_height_report, as in "
-    "geometric-pd, on the edge ideals of connected graphs up to 5 vertices, "
-    "the graph fixtures and seeded ideals",
+    "geometric-pd, on the edge ideals of connected graphs up to 5 vertices "
+    "and the graph fixtures; geometric-pd checks the seeded ideals with the "
+    "same function",
     "product-lemma": "each lattice property holds for a product iff it "
     "holds for both factors; disjoint unions of graphs give product "
     "lattices",
@@ -168,6 +169,13 @@ def random_ideal(rng: random.Random, max_vars: int, max_gens: int, max_deg: int)
             exps[rng.randrange(nvars)] += 1
         monos.append(Monomial(tuple(exps)))
     return minimalize(monos, nvars)
+
+
+def _seeded(seed: int, count: int, shape: tuple) -> list:
+    """``count`` (name, ideal) pairs ``seeded#k`` drawn in order from one
+    ``random.Random(seed)``; ``shape`` is ``random_ideal``'s bounds."""
+    rng = random.Random(seed)
+    return [(f"seeded#{k}", random_ideal(rng, *shape)) for k in range(count)]
 
 
 # -- exhaustive graph sweep -----------------------------------------------------
@@ -304,38 +312,30 @@ def _run_special_families(seed, count, field):
 
 
 def _run_pd_height_bound(seed, count, field):
-    rng = random.Random(seed)
-    count = count or 200
+    pool = _seeded(seed, count or 200, (5, 5, 3))
     found = []
-    for k in range(count):
-        ideal = random_ideal(rng, 5, 5, 3)
+    for name, ideal in pool:
         L = lcm_lattice(ideal)
-        table = lattice_betti_table(L, field)
-        found.extend(_bound_violations(f"seeded#{k}", ideal, table, L))
-    return count, found
+        found.extend(_bound_violations(name, ideal, lattice_betti_table(L, field), L))
+    return len(pool), found
 
 
 def _run_boolean_equivalence(seed, count, field):
-    rng = random.Random(seed)
-    count = count or 500
+    pool = _seeded(seed, count or 500, (6, 6, 4))
     found = []
-    for k in range(count):
-        ideal = random_ideal(rng, 6, 6, 4)
+    for name, ideal in pool:
         L = lcm_lattice(ideal)
         table = lattice_betti_table(L, field)
         four = boolean_equivalence(ideal, L, table)
         if not four.all_agree():
-            found.append(_ideal_ce(f"seeded#{k}", ideal, str(four)))
-        found.extend(_bound_violations(f"seeded#{k}", ideal, table, L))
-    return count, found
+            found.append(_ideal_ce(name, ideal, str(four)))
+        found.extend(_bound_violations(name, ideal, table, L))
+    return len(pool), found
 
 
 def _run_phan_roundtrip(seed, count, field):
-    rng = random.Random(seed)
-    pools = []
-    for k in range(count or 200):
-        ideal = random_ideal(rng, 5, 5, 3)
-        pools.append((f"seeded#{k}", lcm_lattice(ideal)))
+    seeded = _seeded(seed, count or 200, (5, 5, 3))
+    pools = [(name, lcm_lattice(ideal)) for name, ideal in seeded]
     for name, L in fixture_lattices().items():
         if is_atomic(L)[0] and L.n > 1:
             pools.append((name, L))
@@ -394,9 +394,7 @@ def _run_geometric_pd(seed, count, field):
         pool.append((f"K{n}", edge_ideal(complete(n))))
     for n in range(3, 7):
         pool.append((f"St{n}", edge_ideal(star(n))))
-    rng = random.Random(seed)
-    for k in range(count or 100):
-        pool.append((f"seeded#{k}", random_ideal(rng, 5, 5, 3)))
+    pool += _seeded(seed, count or 100, (5, 5, 3))
     return _pd_height_counterexamples(pool, field)
 
 
@@ -408,9 +406,6 @@ def _run_strongly_complemented(seed, count, field):
             instances.append((f"graph n={n} mask={mask}", edge_ideal(G)))
     for name in ("fig5", "fig6", "bipartite-cm"):
         instances.append((name, edge_ideal(graph_fixture(name))))
-    rng = random.Random(seed)
-    for k in range(count or 100):
-        instances.append((f"seeded#{k}", random_ideal(rng, 5, 5, 3)))
     return _pd_height_counterexamples(instances, field)
 
 
@@ -466,21 +461,15 @@ def _run_product_lemma(seed, count, field):
 
 
 def _run_polarization(seed, count, field):
-    rng = random.Random(seed)
-    count = count or 150
+    pool = _seeded(seed, count or 150, (4, 4, 4))
     found = []
-    for k in range(count):
-        ideal = random_ideal(rng, 4, 4, 4)
+    for name, ideal in pool:
         pol = polarize(ideal)
         if not pol.is_squarefree:
-            found.append(
-                _ideal_ce(f"seeded#{k}", ideal, "polarization not squarefree")
-            )
+            found.append(_ideal_ce(name, ideal, "polarization not squarefree"))
         elif not is_isomorphic(lcm_lattice(ideal), lcm_lattice(pol)):
-            found.append(
-                _ideal_ce(f"seeded#{k}", ideal, "polarization changed the lattice")
-            )
-    return count, found
+            found.append(_ideal_ce(name, ideal, "polarization changed the lattice"))
+    return len(pool), found
 
 
 _CASE_RUNNERS = {
@@ -533,19 +522,14 @@ def betti_oracle_check(count=200, seed=0):
     Taylor-complex oracle, entry for entry, over GF(2) and GF(DEFAULT_PRIME)
     on seeded random ideals; the pd bounds are checked along the way.  Not a
     catalog case: used by the acceptance suite."""
-    rng = random.Random(seed)
     res = VerificationResult("betti-oracle", count)
-    for k in range(count):
-        ideal = random_ideal(rng, 5, 8, 3)
+    for name, ideal in _seeded(seed, count, (5, 8, 3)):
         L = lcm_lattice(ideal)
         for fs in (FieldSpec(2), FieldSpec(DEFAULT_PRIME)):
             mine = lattice_betti_table(L, fs)
-            oracle = taylor_betti(ideal, fs)
-            if mine.multigraded != oracle:
+            if mine.multigraded != taylor_betti(ideal, fs):
                 res.counterexamples.append(
-                    _ideal_ce(f"seeded#{k}", ideal, f"tables differ over {fs}")
+                    _ideal_ce(name, ideal, f"tables differ over {fs}")
                 )
-            res.counterexamples.extend(
-                _bound_violations(f"seeded#{k}", ideal, mine, L)
-            )
+            res.counterexamples.extend(_bound_violations(name, ideal, mine, L))
     return res

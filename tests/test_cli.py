@@ -355,10 +355,31 @@ def test_make_mn_refuses_a_huge_n_before_building_covers(capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 5 * 10**9 edges; complete(2000) alone takes seconds and 389 MB
+        ["make", "complete", "--n", "100000"],
+        ["make", "path", "--n", "100000000"],
+    ],
+)
+def test_make_graph_refuses_a_huge_n_before_listing_edges(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and "capacity 8192" in err
+    assert peak < 1 << 20
+
+
 def test_graph_props_refuses_a_huge_sparse_graph_without_building_it(
     capsys, monkeypatch
 ):
-    # 1 edge cannot connect 20,000,000 vertices; nothing of size n is built
+    # 20,000,000 vertices are above the capacity; nothing of size n is built
     text = dumps_json({"n": 20_000_000, "edges": [[0, 1]]})
     tracemalloc.start()
     try:
@@ -368,7 +389,9 @@ def test_graph_props_refuses_a_huge_sparse_graph_without_building_it(
         tracemalloc.stop()
     assert code == 1
     assert out == ""
-    assert err == "lcmlat: error: the characterizations need a connected graph\n"
+    assert err == (
+        "lcmlat: error: graph vertex count 20000000 above the capacity 8192\n"
+    )
     assert peak < 1 << 20
 
 
@@ -381,6 +404,13 @@ def test_graph_props_refuses_a_huge_sparse_graph_without_building_it(
         (["ideal", "height", "-"], "x1*x8193\n"),
         (["ideal", "height", "-"], "x" + "9" * 5000 + "\n"),
         (["ideal", "height", "-"], dumps_json({"nvars": 10**9, "gens": [[1]]})),
+        # polarization turns exponent e into e variables: this one into a
+        # mask of about 1.5 GB
+        (["ideal", "height", "-"], "x1^1000000000\n"),
+        (["ideal", "height", "-"], "x1^" + "9" * 5000 + "\n"),
+        (["ideal", "height", "-"], dumps_json({"nvars": 1, "gens": [[10**9]]})),
+        (["ideal", "height", "-"], '{"nvars": 1, "gens": [[' + "9" * 5000 + "]]}"),
+        (["graph", "props", "-"], '{"n": ' + "9" * 5000 + ', "edges": []}'),
         (
             ["lattice", "check", "-"],
             dumps_json({"n": 2, "covers": [[0, 1]], "labels": ["1", "x1000000000"]}),
@@ -404,6 +434,11 @@ def test_variable_index_above_the_cap_is_refused_before_allocating(
 
 def test_variable_index_at_the_cap_is_accepted(capsys, monkeypatch):
     code, out, _ = run(capsys, ["ideal", "height", "-"], "x1*x8192\n", monkeypatch)
+    assert (code, out) == (0, "1\n")
+
+
+def test_exponent_at_the_cap_is_accepted(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["ideal", "height", "-"], "x1^8192\n", monkeypatch)
     assert (code, out) == (0, "1\n")
 
 

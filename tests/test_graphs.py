@@ -182,6 +182,22 @@ def test_graph_side_predicates_match_their_definitions_on_all_small_graphs():
     disconnected = [c for G, c in zip(graphs, complemented) if not G.is_connected()]
     assert (len(graphs), sum(clique), sum(complemented)) == (1100, 211, 788)
     assert (len(disconnected), sum(disconnected)) == (327, 267)
+    # the degree counts against pairwise edge-set scans
+    no_disjoint = [has_no_disjoint_edges(G) for G in graphs]
+    assert no_disjoint == [
+        all(set(e) & set(f) for e, f in itertools.combinations(G.edges, 2))
+        for G in graphs
+    ]
+    universal = [has_universal_edge(G) for G in graphs]
+    assert universal == [
+        any(all(set(e) & set(f) for f in G.edges) for e in G.edges) for G in graphs
+    ]
+    stars = [is_star(G) for G in graphs]
+    assert stars == [
+        bool(G.edges) and any(all(v in e for e in G.edges) for v in range(G.n))
+        for G in graphs
+    ]
+    assert (sum(no_disjoint), sum(universal), sum(stars)) == (115, 509, 94)
 
 
 def _sets_without_isolated_vertices(G):

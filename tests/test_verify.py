@@ -3,12 +3,13 @@ from __future__ import annotations
 import pytest
 
 from lcmlat.errors import BadTheoremId
-from lcmlat.formats import dumps_json
+from lcmlat.formats import dumps_json, ideal_to_json
 from lcmlat.graphs import connected_nonisomorphic_graphs
 from lcmlat.verify import (
     CATALOG,
     GRAPH_CASES,
     _graph_violations,
+    _seeded,
     betti_oracle_check,
     random_ideal,
     run_cases,
@@ -27,6 +28,16 @@ def test_random_ideal_is_deterministic():
     a = [random_ideal(random.Random(42), 5, 5, 3) for _ in range(10)]
     b = [random_ideal(random.Random(42), 5, 5, 3) for _ in range(10)]
     assert a == b
+
+
+def test_seeded_pool_is_pinned():
+    # every seeded case checks these instances; a change to random_ideal or
+    # to the draw order must show here
+    assert [(name, ideal_to_json(I)) for name, I in _seeded(0, 3, (5, 5, 3))] == [
+        ("seeded#0", {"nvars": 4, "gens": [[0, 0, 1, 0]]}),
+        ("seeded#1", {"nvars": 1, "gens": [[1]]}),
+        ("seeded#2", {"nvars": 5, "gens": [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]}),
+    ]
 
 
 def test_every_seven_vertex_class_satisfies_the_characterizations():
@@ -68,7 +79,8 @@ def test_geometric_and_strong_cases():
     res = run_cases(["geometric-pd"], count=30)[0]
     assert res.passed
     res = run_cases(["strongly-complemented-necessary"], count=20)[0]
-    assert res.passed
+    # 771 connected graphs on 2-5 vertices and 3 fixtures; no seeded ideals
+    assert res.passed and res.instances_checked == 774
 
 
 def test_results_serialize_deterministically():
