@@ -178,7 +178,9 @@ def has_universal_edge(G: Graph) -> bool:
 
 
 def min_degree(G: Graph) -> int:
-    return min(G.degree(v) for v in range(G.n))
+    """The least vertex degree; 0 on the 0-vertex graph, as on every
+    edgeless graph."""
+    return min((G.degree(v) for v in range(G.n)), default=0)
 
 
 def is_star(G: Graph) -> bool:

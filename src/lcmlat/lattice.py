@@ -6,6 +6,18 @@ are the caller's and need not follow the order.  The meet of a pair is the
 element whose down-set is the intersection of theirs, the join likewise on
 up-sets.  Meet and join tables are tuples of row tuples, ``L.meet[x][y]``;
 the property checks loop over those rows and the bitsets, in plain Python.
+
+The tables are filled on one of two paths, after the same order-axiom scan
+and with the same checks and messages.  ``from_below_masks`` looks each pair
+up, up to the diagonal, in a dict from down-sets (up-sets) to elements.
+``lattice_of_sets`` fills a family of n sets on a universe of k ≤ 8 points
+by byte lanes when n ≤ 254 and 2**k ≤ n*n: one 256-byte ``bytes.translate``
+table maps each subset of the universe to the largest member inside it,
+another to the smallest member containing it, and a whole row is one AND
+(OR) of the masks packed one per byte, translated.  A mask must fit a byte,
+hence 8 points; an index must be a byte other than the marker 255, hence
+n ≤ 254; and the two translate tables take about 2**k Python steps against
+about n*n lookups on the dict path, hence 2**k ≤ n*n.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, count, islice, zip_longest
-from operator import add, and_, eq, gt, lt, ne, not_
+from operator import add, and_, eq, gt, lt, ne, not_, or_
 from typing import Sequence
 
 from .errors import CyclicCovers, NotALattice, NotBounded, NotComparable
@@ -128,41 +140,22 @@ class FiniteLattice:
         uniqueness of every pairwise meet and join.
         """
         below = list(below)
-        n = len(below)
-        if n == 0 or n > MAX_ELEMENTS:
-            raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
-        for i, m in enumerate(below):
-            if not (m >> i) & 1:
-                raise NotALattice(f"order not reflexive at element {i}")
-            if m >> n:
-                raise NotALattice(f"down-set mask of element {i} out of range")
-            for j in _bits(m & ~(1 << i)):
-                if below[j] & ~m:
-                    raise NotALattice(f"order not transitive at ({j}, {i})")
-                if below[j] == m:
-                    raise NotALattice(f"order not antisymmetric at ({j}, {i})")
-
+        _check_order(below)
         above = _transpose(below)
         with_down_set = {m: i for i, m in enumerate(below)}.get
         with_up_set = {m: i for i, m in enumerate(above)}.get
-        bottom = with_down_set(reduce(and_, below))
-        if bottom is None:
-            raise NotBounded("no unique bottom element")
-        top = with_up_set(reduce(and_, above))
-        if top is None:
-            raise NotBounded("no unique top element")
         # both tables are symmetric: look up row i up to the diagonal, and
         # complete it from the columns of the rows below
-        low_meet, low_join = [], []
-        for i, (bi, ai) in enumerate(zip(below, above)):
-            down = [with_down_set(bi & m) for m in below[: i + 1]]
-            up = [with_up_set(ai & m) for m in above[: i + 1]]
-            if None in down or None in up:
-                j = min(row.index(None) for row in (down, up) if None in row)
-                kind = "meet" if down[j] is None else "join"
-                raise NotALattice(f"elements {i} and {j} have no unique {kind}")
-            low_meet.append(down)
-            low_join.append(up)
+        rows = (
+            (
+                [with_down_set(bi & m) for m in below[: i + 1]],
+                [with_up_set(ai & m) for m in above[: i + 1]],
+            )
+            for i, (bi, ai) in enumerate(zip(below, above))
+        )
+        bottom = with_down_set(reduce(and_, below))
+        top = with_up_set(reduce(and_, above))
+        low_meet, low_join = _checked_tables(bottom, top, rows, None)
         return FiniteLattice(
             tuple(below), tuple(above), _symmetric(low_meet), _symmetric(low_join),
             bottom, top, tuple(labels) if labels is not None else None,
@@ -299,6 +292,46 @@ def _single_cover_mask(covers) -> int:
     return mask
 
 
+def _check_order(below) -> None:
+    """Raise unless the down-set bitmasks in below (a list) are those of a
+    partial order on 1..MAX_ELEMENTS elements."""
+    n = len(below)
+    if n == 0 or n > MAX_ELEMENTS:
+        raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
+    for i, m in enumerate(below):
+        if not (m >> i) & 1:
+            raise NotALattice(f"order not reflexive at element {i}")
+        if m >> n:
+            raise NotALattice(f"down-set mask of element {i} out of range")
+        for j in _bits(m & ~(1 << i)):
+            if below[j] & ~m:
+                raise NotALattice(f"order not transitive at ({j}, {i})")
+            if below[j] == m:
+                raise NotALattice(f"order not antisymmetric at ({j}, {i})")
+
+
+def _checked_tables(bottom, top, rows, missing):
+    """The meet and join rows as two lists, where ``rows`` yields row i of
+    each table, complete at least up to the diagonal, and ``missing`` marks
+    a bound (a meet or join) that does not exist.  Raises at a missing
+    bottom or top, then at the first row with a missing pair up to its
+    diagonal, naming the lowest such pair."""
+    if bottom == missing:
+        raise NotBounded("no unique bottom element")
+    if top == missing:
+        raise NotBounded("no unique top element")
+    meet, join = [], []
+    for i, (down, up) in enumerate(rows):
+        pair = down[: i + 1], up[: i + 1]
+        if missing in pair[0] or missing in pair[1]:
+            j = min(row.index(missing) for row in pair if missing in row)
+            kind = "meet" if pair[0][j] == missing else "join"
+            raise NotALattice(f"elements {i} and {j} have no unique {kind}")
+        meet.append(down)
+        join.append(up)
+    return meet, join
+
+
 def _symmetric(lower) -> tuple:
     """Rows of the symmetric table whose row i up to the diagonal is
     lower[i]; column i from the diagonal down is the transpose of lower."""
@@ -343,27 +376,106 @@ def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     return FiniteLattice.from_below_masks(below, labels)
 
 
+#: The byte that ``_set_tables`` writes where a subset has no such member.
+_NO_MEMBER = 255
+
+
 def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     """Distinct sets, given as bitmasks, ordered by inclusion.  Element i is
-    masks[i], so the caller's order is kept; ``from_below_masks`` checks
-    that the inclusion order is a lattice."""
-    universe = 0
-    for m in masks:
-        universe |= m
+    masks[i], so the caller's order is kept.  The checks, their order and
+    their messages are those of ``from_below_masks``.
+
+    The meet of two sets is the largest member inside their intersection,
+    and their join the smallest member containing their union, when these
+    exist.  When the universe has k ≤ 8 points, there are n ≤ 254 sets and
+    2**k ≤ n*n, both tables are filled by byte lanes, with no Python loop
+    over pairs: ``_set_tables`` maps every subset of the universe to the
+    largest member inside it and to the smallest member containing it, as
+    two 256-byte ``bytes.translate`` tables, and row i is the masks, packed
+    one per byte, ANDed (ORed) with n copies of masks[i] and translated.  A
+    mask must fit a byte, so k ≤ 8.  An index must be a byte other than the
+    marker 255, so n ≤ 254; the only families of 255 or more sets on 8
+    points are B8 and B8 less one set, which the dict path builds.  The
+    translate tables take about 2**k Python steps against about n*n dict
+    lookups, so the byte path is taken only when 2**k ≤ n*n.  Those steps
+    are dearer than lookups: measured whole builds break even nearer
+    n*n = 5 * 2**k, and below that both paths take under a millisecond.
+    Every other family is built by ``from_below_masks``."""
+    universe = reduce(or_, masks, 0)
     # lacking[b]: the elements whose set lacks b; a set is inside m exactly
     # when it lacks every b outside m
     lacking = {
         b: sum(1 << i for i, m in enumerate(masks) if not (m >> b) & 1)
         for b in _bits(universe)
     }
-    full = (1 << len(masks)) - 1
+    n, k = len(masks), universe.bit_length()
+    full = (1 << n) - 1
     below = []
     for m in masks:
         down = full
         for b in _bits(universe & ~m):
             down &= lacking[b]
         below.append(down)
-    return FiniteLattice.from_below_masks(below, labels)
+    if not (k <= 8 and n < _NO_MEMBER and 1 << k <= n * n):
+        return FiniteLattice.from_below_masks(below, labels)
+    _check_order(below)
+    above = _transpose(below)
+    down, up = _set_tables(masks, k)
+    packed = int.from_bytes(bytes(masks), "little")
+    ones = int.from_bytes(b"\x01" * n, "little")
+    rows = (
+        (
+            (packed & r).to_bytes(n, "little").translate(down),
+            (packed | r).to_bytes(n, "little").translate(up),
+        )
+        for r in map(ones.__mul__, masks)
+    )
+    bottom, top = down[reduce(and_, masks)], up[universe]
+    meet, join = _checked_tables(bottom, top, rows, _NO_MEMBER)
+    return FiniteLattice(
+        tuple(below), tuple(above), tuple(map(tuple, meet)), tuple(map(tuple, join)),
+        bottom, top, tuple(labels) if labels is not None else None,
+    )
+
+
+def _set_tables(masks, k: int) -> tuple:
+    """Two ``bytes.translate`` tables over the subsets s of range(k), for
+    distinct masks below 256: down[s] is the index of the largest member
+    inside s and up[s] that of the smallest member containing s, _NO_MEMBER
+    where there is none.  The largest member inside s exists exactly when
+    the union U(s) of the members inside s is a member, and U(s) is s for
+    a member, else the union of U(s - b) over the b in s; the smallest
+    member containing s is dual, by intersection over the b outside s."""
+    index = {m: i for i, m in enumerate(masks)}
+    size = 1 << k
+    full = size - 1
+    union = [0] * size
+    for s in range(size):
+        if s in index:
+            union[s] = s
+            continue
+        u, rest = 0, s
+        while rest:
+            low = rest & -rest
+            u |= union[s ^ low]
+            rest ^= low
+        union[s] = u
+    inter = [0] * size
+    for s in reversed(range(size)):
+        if s in index:
+            inter[s] = s
+            continue
+        v, rest = full, full ^ s
+        while rest:
+            low = rest & -rest
+            v &= inter[s | low]
+            rest ^= low
+        inter[s] = v
+    pad = bytes([_NO_MEMBER]) * (256 - size)
+    return (
+        bytes(index.get(u, _NO_MEMBER) for u in union) + pad,
+        bytes(index.get(v, _NO_MEMBER) for v in inter) + pad,
+    )
 
 
 # -- derived element sets ----------------------------------------------------

@@ -18,6 +18,7 @@ from lcmlat.graphs import (
     graph_fixture,
     graph_from_mask,
     graph_lattice_report,
+    graph_side_verdicts,
     has_clique_with_unique_attachment,
     has_no_disjoint_edges,
     has_universal_edge,
@@ -64,6 +65,7 @@ def test_induced_subgraph_predicates():
     assert has_universal_edge(path(4))
     assert not has_universal_edge(path(5))
     assert min_degree(cycle(6)) == 2
+    assert min_degree(Graph(0, ())) == min_degree(Graph(3, ())) == 0
     assert is_star(path(2)) and is_star(star(5)) and not is_star(path(4))
 
 
@@ -175,6 +177,8 @@ def _complemented_brute(G):
 def test_graph_side_predicates_match_their_definitions_on_all_small_graphs():
     # disconnected graphs included: the sweep checks connected ones only
     graphs = list(_all_labeled_graphs(5))
+    # every verdict is defined, on the 0-vertex graph too
+    assert all(len(graph_side_verdicts(G)) == 10 for G in graphs)
     clique = [has_clique_with_unique_attachment(G) for G in graphs]
     assert clique == [_clique_with_pendants_brute(G) for G in graphs]
     complemented = [complemented_via_independent_sets(G) for G in graphs]

@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lcmlat.errors import CyclicCovers, NotALattice, NotBounded, NotComparable
+from lcmlat.errors import (
+    CyclicCovers,
+    LcmLatError,
+    NotALattice,
+    NotBounded,
+    NotComparable,
+)
 from lcmlat.lattice import (
     atoms,
     coatoms,
@@ -385,3 +391,89 @@ def test_false_witnesses_violate_definitions_exactly(lattice_pool):
                 L.meet[x][y] != L.bottom or L.join[x][y] != L.top
                 for y in range(L.n)
             )
+
+
+def _inclusion_down_sets(masks):
+    """below[i] of the inclusion order on masks, pair by pair."""
+    return [sum(1 << j for j, a in enumerate(masks) if a & ~b == 0) for b in masks]
+
+
+def _built(build, arg):
+    """The tables build(arg) gives, or the class and message it raises."""
+    try:
+        L = build(arg)
+    except LcmLatError as exc:
+        return type(exc), str(exc)
+    return L.below, L.above, L.meet, L.join, L.bottom, L.top
+
+
+def _complex_with_top(n):
+    """n sets on 8 points, a lattice: the first n - 1 subsets of range(8) by
+    (size, value), which are closed under taking subsets, and range(8)."""
+    by_size = sorted(range(255), key=lambda s: (s.bit_count(), s))
+    return by_size[: n - 1] + [255]
+
+
+def _subspaces_of_gf2_cubed():
+    """The 16 subspaces of GF(2)^3, as sets of the 8 vectors."""
+    return [
+        m for m in range(256)
+        if m & 1 and all(m >> (a ^ b) & 1 for a in range(8) for b in range(8)
+                         if m >> a & 1 and m >> b & 1)
+    ]
+
+
+def test_set_lattice_tables_match_from_below_masks():
+    import random
+
+    from lcmlat.lattice import FiniteLattice, lattice_of_sets
+
+    rng = random.Random(18)
+    subspaces = _subspaces_of_gf2_cubed()
+    assert len(subspaces) == 16
+    families = [
+        [], [0], [5], [0b01, 0b10, 0b11], [0, 0b01, 0b10], [3, 3, 7],
+        subspaces, list(range(256)), _complex_with_top(254),
+        rng.sample(range(256), 254),
+    ]
+    for k in range(1, 9):
+        for _ in range(30):
+            size = rng.randint(1, min(1 << k, 40))
+            distinct = rng.sample(range(1 << k), size)
+            families.append(distinct)
+            families.append([rng.randrange(1 << k) for _ in range(size)])
+            # lattices: union-closed with the empty set, and down-closed
+            # with the universe on top, whose joins are not unions
+            closed = {0}
+            for m in distinct[:4]:
+                closed |= {c | m for c in closed}
+            families.append(rng.sample(sorted(closed), len(closed)))
+            down = {s for m in distinct[:3] for s in range(1 << k) if s & ~m == 0}
+            down.add((1 << k) - 1)
+            families.append(rng.sample(sorted(down), len(down)))
+    outcomes = set()
+    for masks in families:
+        expected = _built(FiniteLattice.from_below_masks, _inclusion_down_sets(masks))
+        assert _built(lattice_of_sets, masks) == expected, masks
+        outcomes.add(expected[0] if len(expected) == 2 else "lattice")
+    assert outcomes == {"lattice", NotALattice, NotBounded}
+    assert is_isomorphic(lattice_of_sets(subspaces), subspace_lattice(2, 3))
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 254, 255, 256])
+def test_set_lattice_tables_on_eight_points(n):
+    # around n * n = 2**8 and n = 255: meets are intersections here, and a
+    # join is the union when that is a member, else the whole set
+    import random
+
+    from lcmlat.lattice import lattice_of_sets
+
+    masks = _complex_with_top(n)
+    random.Random(n).shuffle(masks)
+    index = {m: i for i, m in enumerate(masks)}
+    L = lattice_of_sets(masks)
+    assert L.n == n and L.bottom == index[0] and L.top == index[255]
+    assert L.below == tuple(_inclusion_down_sets(masks))
+    for i, a in enumerate(masks):
+        assert L.meet[i] == tuple(index[a & b] for b in masks)
+        assert L.join[i] == tuple(index.get(a | b, index[255]) for b in masks)
