@@ -71,6 +71,11 @@ def _emit(args, obj, text: str):
         print(text)
 
 
+def _emit_ideal(args, ideal):
+    _emit(args, formats.ideal_to_json(ideal),
+          formats.render_ideal_text(ideal).rstrip("\n"))
+
+
 # -- ideal subcommands -----------------------------------------------------------
 
 
@@ -116,9 +121,7 @@ def _cmd_ideal(args) -> int:
         _emit(args, obj, f"{str(ok).lower()}"
               + (f" {list(degs)}" if degs else ""))
     elif sub == "polarize":
-        pol = polarize(ideal)
-        _emit(args, formats.ideal_to_json(pol),
-              formats.render_ideal_text(pol).rstrip("\n"))
+        _emit_ideal(args, polarize(ideal))
     elif sub == "minimal":
         v = is_minimal_ideal(ideal)
         _emit(args, {"minimal": v}, str(v).lower())
@@ -144,9 +147,7 @@ def _cmd_lattice(args) -> int:
         }
         _emit(args, obj, f"n = {L.n}, height = {height(L)}\n" + rep.render_text())
     elif sub == "phan":
-        ideal = phan_ideal(L)
-        _emit(args, formats.ideal_to_json(ideal),
-              formats.render_ideal_text(ideal).rstrip("\n"))
+        _emit_ideal(args, phan_ideal(L))
     elif sub == "mobius":
         v = mobius(L, L.bottom, L.top)
         _emit(args, {"mobius_bottom_top": v}, str(v))
@@ -167,9 +168,7 @@ def _graph_from_args(args):
 def _cmd_graph(args) -> int:
     G = _graph_from_args(args)
     if args.graph_cmd == "edge-ideal":
-        ideal = edge_ideal(G)
-        _emit(args, formats.ideal_to_json(ideal),
-              formats.render_ideal_text(ideal).rstrip("\n"))
+        _emit_ideal(args, edge_ideal(G))
         return 0
     report = graph_lattice_report(G)
     pairs = report.pairs()
@@ -217,19 +216,22 @@ def _cmd_make(args) -> int:
     return 0
 
 
+#: The ``make fixture`` ids besides those of GRAPH_FIXTURES.
+_FIXTURES = {
+    "fig3": (cons.fano_lattice, formats.lattice_to_json),
+    "graphic-matroid": (cons.graphic_matroid_lattice, formats.lattice_to_json),
+    "graphic-matroid-ideal": (cons.graphic_matroid_ideal, formats.ideal_to_json),
+}
+
+
 def _fixture_json(name: str):
     if name in GRAPH_FIXTURES:
         return formats.graph_to_json(GRAPH_FIXTURES[name])
-    if name == "fig3":
-        return formats.lattice_to_json(cons.fano_lattice())
-    if name == "graphic-matroid":
-        return formats.lattice_to_json(cons.graphic_matroid_lattice())
-    if name == "graphic-matroid-ideal":
-        return formats.ideal_to_json(cons.graphic_matroid_ideal())
-    raise BadParameter(
-        f"unknown fixture {name!r}; have fig3, fig5, fig6, bipartite-cm, "
-        "graphic-matroid, graphic-matroid-ideal"
-    )
+    if name in _FIXTURES:
+        make, to_json = _FIXTURES[name]
+        return to_json(make())
+    have = ", ".join(sorted([*GRAPH_FIXTURES, *_FIXTURES]))
+    raise BadParameter(f"unknown fixture {name!r}; have {have}")
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -291,7 +293,7 @@ def build_parser() -> _Parser:
         sp = graph_sub.add_parser(name)
         sp.add_argument("file", nargs="?", help="graph JSON file, or - for stdin")
         sp.add_argument("--fixture", default=None,
-                        help="named fixture (fig5, fig6, bipartite-cm)")
+                        help=f"named fixture ({', '.join(GRAPH_FIXTURES)})")
         sp.add_argument("--json", action="store_true")
     p_graph.set_defaults(func=_cmd_graph)
 

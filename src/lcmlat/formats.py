@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import FormatError, TooLarge
+from .errors import FormatError, NotALattice, TooLarge
 from .graphs import Graph
 from .ideals import Monomial, MonomialIdeal, minimalize
 from .lattice import MAX_ELEMENTS, FiniteLattice, lattice_from_covers, validate_labels
@@ -159,7 +159,7 @@ def parse_lattice(text: str) -> FiniteLattice:
     L = lattice_from_covers(n, covers, labels)
     try:
         validate_labels(L)
-    except Exception as exc:
+    except NotALattice as exc:
         raise FormatError(f"bad lattice JSON: {exc}") from None
     return L
 

@@ -10,14 +10,9 @@ the property checks loop over those rows and the bitsets, in plain Python.
 The tables are filled on one of two paths, after the same order-axiom scan
 and with the same checks and messages.  ``from_below_masks`` looks each pair
 up, up to the diagonal, in a dict from down-sets (up-sets) to elements.
-``lattice_of_sets`` fills a family of n sets on a universe of k ≤ 8 points
-by byte lanes when n ≤ 254 and 2**k ≤ n*n: one 256-byte ``bytes.translate``
-table maps each subset of the universe to the largest member inside it,
-another to the smallest member containing it, and a whole row is one AND
-(OR) of the masks packed one per byte, translated.  A mask must fit a byte,
-hence 8 points; an index must be a byte other than the marker 255, hence
-n ≤ 254; and the two translate tables take about 2**k Python steps against
-about n*n lookups on the dict path, hence 2**k ≤ n*n.
+``lattice_of_sets`` fills the tables of a family of at most 254 sets on at
+most 8 points by byte lanes, with no Python loop over pairs; its docstring
+says how and when.
 """
 
 from __future__ import annotations
@@ -376,7 +371,7 @@ def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     return FiniteLattice.from_below_masks(below, labels)
 
 
-#: The byte that ``_set_tables`` writes where a subset has no such member.
+#: The byte that ``_inside`` writes where a subset holds no member.
 _NO_MEMBER = 255
 
 
@@ -385,97 +380,96 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     masks[i], so the caller's order is kept.  The checks, their order and
     their messages are those of ``from_below_masks``.
 
-    The meet of two sets is the largest member inside their intersection,
-    and their join the smallest member containing their union, when these
-    exist.  When the universe has k ≤ 8 points, there are n ≤ 254 sets and
-    2**k ≤ n*n, both tables are filled by byte lanes, with no Python loop
-    over pairs: ``_set_tables`` maps every subset of the universe to the
-    largest member inside it and to the smallest member containing it, as
-    two 256-byte ``bytes.translate`` tables, and row i is the masks, packed
-    one per byte, ANDed (ORed) with n copies of masks[i] and translated.  A
-    mask must fit a byte, so k ≤ 8.  An index must be a byte other than the
-    marker 255, so n ≤ 254; the only families of 255 or more sets on 8
-    points are B8 and B8 less one set, which the dict path builds.  The
-    translate tables take about 2**k Python steps against about n*n dict
-    lookups, so the byte path is taken only when 2**k ≤ n*n.  Those steps
-    are dearer than lookups: measured whole builds break even nearer
-    n*n = 5 * 2**k, and below that both paths take under a millisecond.
-    Every other family is built by ``from_below_masks``."""
+    Complementing every set within the universe U (the union of the sets)
+    reverses inclusion.  So the up-sets of the family are the down-sets of
+    the complements, and the join of two sets, the smallest member
+    containing their union, is the set whose complement is the largest
+    complement inside the intersection of theirs: the join table of the
+    family is the meet table of its complements, with the top element at
+    the empty set.  ``_subsets`` gives the down-sets of either family.
+
+    When U has k ≤ 8 points, there are n ≤ 254 sets and 2**k ≤ n*n, the
+    meet table is filled by byte lanes, with no Python loop over pairs, and
+    the join table likewise from the complements.  ``_inside`` maps every
+    subset of range(k) to the largest member inside it, as a 256-byte
+    ``bytes.translate`` table, and row i is the masks, packed one per byte,
+    ANDed with n copies of masks[i] and translated.  A mask must fit a
+    byte, so k ≤ 8.  An index must be a byte other than the marker 255, so
+    n ≤ 254; the only families of 255 or more sets on 8 points are B8 and
+    B8 less one set, which the dict path builds.  Every other family is
+    built by ``from_below_masks``, one dict lookup per pair.  The two
+    translate tables cost a DP over the 2**k subsets each, so for few sets
+    the dict path is cheaper: on union-closed families, k = 3..8, whole
+    builds break even between n*n = 4 * 2**k and 6 * 2**k (Python 3.11,
+    2-core x86), and at n*n = 2**k the byte path takes 1.3 to 2.5 times as
+    long, under 0.3 ms.  The rule 2**k ≤ n*n is kept: a rule at 6 * 2**k
+    would move 2,941 of the 3,233 byte-path builds of a verify-pool
+    benchmark pass to the dict path and save 0.02 to 0.03 s on them.
+    """
     universe = reduce(or_, masks, 0)
-    # lacking[b]: the elements whose set lacks b; a set is inside m exactly
-    # when it lacks every b outside m
+    below = _subsets(masks, universe)
+    n, k = len(masks), universe.bit_length()
+    if not (k <= 8 and n < _NO_MEMBER and 1 << k <= n * n):
+        return FiniteLattice.from_below_masks(below, labels)
+    _check_order(below)
+    complements = [universe ^ m for m in masks]
+    down, bottom = _inside(masks, k, reduce(and_, masks))
+    up, top = _inside(complements, k, 0)
+    meet, join = _checked_tables(bottom, top, zip(down, up), _NO_MEMBER)
+    return FiniteLattice(
+        tuple(below), tuple(_subsets(complements, universe)),
+        tuple(map(tuple, meet)), tuple(map(tuple, join)),
+        bottom, top, tuple(labels) if labels is not None else None,
+    )
+
+
+def _subsets(masks, universe: int) -> list:
+    """Inclusion down-sets of the sets in masks, all inside universe: bit i
+    of entry j is set when masks[i] lacks every point of universe that
+    masks[j] lacks, an AND over those points of the members lacking it."""
     lacking = {
         b: sum(1 << i for i, m in enumerate(masks) if not (m >> b) & 1)
         for b in _bits(universe)
     }
-    n, k = len(masks), universe.bit_length()
-    full = (1 << n) - 1
+    full = (1 << len(masks)) - 1
     below = []
     for m in masks:
         down = full
         for b in _bits(universe & ~m):
             down &= lacking[b]
         below.append(down)
-    if not (k <= 8 and n < _NO_MEMBER and 1 << k <= n * n):
-        return FiniteLattice.from_below_masks(below, labels)
-    _check_order(below)
-    above = _transpose(below)
-    down, up = _set_tables(masks, k)
+    return below
+
+
+def _inside(masks, k: int, s: int) -> tuple:
+    """For n ≤ 254 distinct masks on range(k), k ≤ 8: the rows, as bytes,
+    of the table whose entry (i, j) is the index of the largest member
+    inside masks[i] & masks[j], and the index of the largest member inside
+    s; _NO_MEMBER where there is none.  The largest member inside t exists
+    exactly when the union U(t) of the members inside t is a member, and
+    U(t) is t for a member, else the union of U(t - b) over the b in t."""
+    index = {m: i for i, m in enumerate(masks)}
+    union = [0] * (1 << k)
+    for t in range(1 << k):
+        if t in index:
+            union[t] = t
+            continue
+        u, rest = 0, t
+        while rest:
+            low = rest & -rest
+            u |= union[t ^ low]
+            rest ^= low
+        union[t] = u
+    pad = bytes([_NO_MEMBER])
+    table = bytes(index.get(u, _NO_MEMBER) for u in union).ljust(256, pad)
+    n = len(masks)
     packed = int.from_bytes(bytes(masks), "little")
     ones = int.from_bytes(b"\x01" * n, "little")
     rows = (
-        (
-            (packed & r).to_bytes(n, "little").translate(down),
-            (packed | r).to_bytes(n, "little").translate(up),
-        )
+        (packed & r).to_bytes(n, "little").translate(table)
         for r in map(ones.__mul__, masks)
     )
-    bottom, top = down[reduce(and_, masks)], up[universe]
-    meet, join = _checked_tables(bottom, top, rows, _NO_MEMBER)
-    return FiniteLattice(
-        tuple(below), tuple(above), tuple(map(tuple, meet)), tuple(map(tuple, join)),
-        bottom, top, tuple(labels) if labels is not None else None,
-    )
-
-
-def _set_tables(masks, k: int) -> tuple:
-    """Two ``bytes.translate`` tables over the subsets s of range(k), for
-    distinct masks below 256: down[s] is the index of the largest member
-    inside s and up[s] that of the smallest member containing s, _NO_MEMBER
-    where there is none.  The largest member inside s exists exactly when
-    the union U(s) of the members inside s is a member, and U(s) is s for
-    a member, else the union of U(s - b) over the b in s; the smallest
-    member containing s is dual, by intersection over the b outside s."""
-    index = {m: i for i, m in enumerate(masks)}
-    size = 1 << k
-    full = size - 1
-    union = [0] * size
-    for s in range(size):
-        if s in index:
-            union[s] = s
-            continue
-        u, rest = 0, s
-        while rest:
-            low = rest & -rest
-            u |= union[s ^ low]
-            rest ^= low
-        union[s] = u
-    inter = [0] * size
-    for s in reversed(range(size)):
-        if s in index:
-            inter[s] = s
-            continue
-        v, rest = full, full ^ s
-        while rest:
-            low = rest & -rest
-            v &= inter[s | low]
-            rest ^= low
-        inter[s] = v
-    pad = bytes([_NO_MEMBER]) * (256 - size)
-    return (
-        bytes(index.get(u, _NO_MEMBER) for u in union) + pad,
-        bytes(index.get(v, _NO_MEMBER) for v in inter) + pad,
-    )
+    return rows, table[s]
 
 
 # -- derived element sets ----------------------------------------------------

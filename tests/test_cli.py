@@ -205,6 +205,18 @@ def test_cli_usage_and_input_errors(capsys, monkeypatch, tmp_path):
     assert cli.main(["make", "fixture", "--id", "nope"]) == 1
 
 
+def test_every_fixture_the_error_names_is_made(capsys):
+    assert cli.main(["make", "fixture", "--id", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "; have " in err
+    ids = err.rstrip("\n").split("; have ", 1)[1].split(", ")
+    assert len(ids) == 6
+    for name in ids:
+        assert cli.main(["make", "fixture", "--id", name]) == 0, name
+        out = capsys.readouterr().out
+        assert json.loads(out), name
+
+
 def test_ideal_lcm_over_the_element_cap_exits_1(capsys, tmp_path):
     f = tmp_path / "boolean14.ideal"
     f.write_text("".join(f"x{i}\n" for i in range(1, 15)))
@@ -452,3 +464,20 @@ def test_lattice_json_label_validation():
         parse_lattice(dumps_json(bad))
     good = dict(bad, labels=["1", "x1", "x2", "x1*x2"])
     assert parse_lattice(dumps_json(good)).labels is not None
+
+
+def test_lattice_json_label_check_lets_other_errors_through(monkeypatch):
+    # only a label that disagrees with the order is bad input; any other
+    # error in the check (a bug, or MemoryError) must reach the caller
+    import lcmlat.formats
+
+    def broken(L):
+        raise RuntimeError("bug in the label check")
+
+    monkeypatch.setattr(lcmlat.formats, "validate_labels", broken)
+    good = {"n": 2, "covers": [[0, 1]], "labels": ["1", "x1"]}
+    with pytest.raises(RuntimeError, match="bug in the label check"):
+        parse_lattice(dumps_json(good))
+    monkeypatch.undo()
+    with pytest.raises(FormatError, match="disagree with the order"):
+        parse_lattice(dumps_json(dict(good, labels=["x1", "1"])))

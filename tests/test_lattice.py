@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import numpy as np
 import pytest
 
@@ -77,8 +80,9 @@ def test_element_cap_fails_before_any_table(monkeypatch):
     boolean14 = parse_ideal("".join(f"x{i}\n" for i in range(1, 15)))
     assert 91 * 91 > MAX_ELEMENTS and 1 << 14 > MAX_ELEMENTS
 
-    # every build transposes its down-sets before it fills the meet and join
-    # tables, so a call here means a build got past the cap
+    # a build over the cap can only take the dict path, which transposes its
+    # down-sets before it fills the meet and join tables, so a call here
+    # means a build got past the cap
     def no_build(out):
         raise AssertionError("a lattice build started")
 
@@ -456,6 +460,12 @@ def test_set_lattice_tables_match_from_below_masks():
         expected = _built(FiniteLattice.from_below_masks, _inclusion_down_sets(masks))
         assert _built(lattice_of_sets, masks) == expected, masks
         outcomes.add(expected[0] if len(expected) == 2 else "lattice")
+        if len(expected) > 2:
+            # complementing within the universe gives the order dual
+            universe = reduce(or_, masks, 0)
+            below, above, meet, join, bottom, top = expected
+            dual = _built(lattice_of_sets, [universe ^ m for m in masks])
+            assert dual == (above, below, join, meet, top, bottom), masks
     assert outcomes == {"lattice", NotALattice, NotBounded}
     assert is_isomorphic(lattice_of_sets(subspaces), subspace_lattice(2, 3))
 
