@@ -1,6 +1,9 @@
 """Betti numbers of S/I from interval homology in the LCM lattice, plus the
 derived invariants: projective dimension, Cohen-Macaulayness, Taylor-
-resolution minimality, purity, and the pd-versus-height report."""
+resolution minimality, purity, and the pd-versus-height report.
+
+The projective dimension has its own route, :func:`lattice_pd`, which
+computes only the intervals that can still raise it."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ from typing import Optional
 
 from .errors import ContractViolation
 from .fields import FieldSpec
-from .homology import reduced_homology_ranks
+from .homology import reduced_homology_rank, reduced_homology_ranks
 from .ideals import MonomialIdeal, Monomial, ideal_height, lcm_lattice
 from .lattice import (
     FiniteLattice,
@@ -72,24 +75,66 @@ class TaylorReport:
     witness: Optional[tuple] = None
 
 
+def _interval_ranks(L: FiniteLattice, m: int, field: FieldSpec | None) -> dict:
+    """Reduced homology ranks {d: rank} of the open interval (bottom, m),
+    computed on the crosscut complex of [bottom, m], which has the same
+    homology: the entry of the Betti table at (d + 2, m)."""
+    return reduced_homology_ranks(crosscut_complex(L, L.bottom, m), field)
+
+
 def lattice_betti_table(
     L: FiniteLattice, field: FieldSpec | None = None
 ) -> BettiTable:
     """Betti numbers from a labeled LCM lattice: the entry at (i, m) is the
-    rank of reduced homology in dimension i-2 of the open interval below m,
-    computed on the crosscut complex of [bottom, m], which has the same
-    homology."""
+    rank of reduced homology in dimension i-2 of the open interval below m."""
     if L.labels is None:
         raise ValueError("lattice must carry monomial labels")
     multigraded = {(0, L.labels[L.bottom]): 1}
     for m in range(L.n):
         if m == L.bottom:
             continue
-        K = crosscut_complex(L, L.bottom, m)
-        for d, r in reduced_homology_ranks(K, field).items():
+        for d, r in _interval_ranks(L, m, field).items():
             if r:
                 multigraded[(d + 2, L.labels[m])] = r
     return BettiTable(multigraded, field)
+
+
+def _vanishing_bounds(L: FiniteLattice) -> list:
+    """b[m] = min(atoms of [bottom, m], lower covers of m, chain rank of m):
+    the Betti entry at (i, m) is 0 for every i > b[m], and b is 0 at the
+    bottom.
+
+    The order complex of the open interval (bottom, m) has dimension
+    rank - 2.  By the crosscut theorem (Bjorner, Topological methods,
+    Handbook of Combinatorics, 1995) the interval has the homology of the
+    crosscut complex on its a atoms, which is a full simplex, and so
+    acyclic, or has faces of at most a - 1 atoms; the same holds for the
+    coatoms, the lower covers of m."""
+    atom_mask = L.upper_cover_masks[L.bottom]
+    return [
+        min((atom_mask & below).bit_count(), lower.bit_count(), rank)
+        for below, lower, rank in zip(L.below, L.lower_cover_masks, L.chain_ranks)
+    ]
+
+
+def lattice_pd(L: FiniteLattice, field: FieldSpec | None = None) -> int:
+    """Projective dimension of S/I from its labeled LCM lattice; equal to
+    ``lattice_betti_table(L, field).pd``.
+
+    The elements are visited in decreasing vanishing bound (see
+    ``_vanishing_bounds``), each interval computed as the table computes it,
+    and the visit stops at the first element whose bound cannot exceed the
+    pd found so far: none of the intervals left can raise it."""
+    if L.labels is None:
+        raise ValueError("lattice must carry monomial labels")
+    bounds = _vanishing_bounds(L)
+    pd = 0
+    for m in sorted(range(L.n), key=bounds.__getitem__, reverse=True):
+        if bounds[m] <= pd:
+            break
+        ranks = _interval_ranks(L, m, field)
+        pd = max([pd] + [d + 2 for d, r in ranks.items() if r])
+    return pd
 
 
 def betti_table(ideal: MonomialIdeal, field: FieldSpec | None = None) -> BettiTable:
@@ -97,10 +142,15 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec | None = None) -> BettiTa
 
 
 def projective_dimension(ideal: MonomialIdeal, field: FieldSpec | None = None) -> int:
-    return betti_table(ideal, field).pd
+    """pd(S/I), by :func:`lattice_pd` on the LCM lattice: only the intervals
+    whose vanishing bound exceeds the pd found so far are computed, so the
+    result is the Betti table's pd without the rest of the table."""
+    return lattice_pd(lcm_lattice(ideal), field)
 
 
 def is_cohen_macaulay(ideal: MonomialIdeal, field: FieldSpec | None = None) -> bool:
+    """Whether pd(S/I), from :func:`projective_dimension`, equals the height
+    of I."""
     return projective_dimension(ideal, field) == ideal_height(ideal)
 
 
@@ -155,15 +205,16 @@ class BooleanEquivalence:
 
 
 def boolean_equivalence(
-    ideal: MonomialIdeal, L: FiniteLattice, table: BettiTable
+    ideal: MonomialIdeal, L: FiniteLattice, pd: int
 ) -> BooleanEquivalence:
     """The four equivalent faces of a Boolean LCM lattice, each computed by
-    its own route, from the ideal, its LCM lattice and its Betti table."""
+    its own route, from the ideal, its LCM lattice and pd(S/I) (for
+    instance ``lattice_pd(L)``)."""
     return BooleanEquivalence(
         lattice_is_boolean=is_boolean(L)[0],
         unique_variable_power=unique_variable_power_criterion(ideal),
         taylor_minimal=taylor_is_minimal(ideal).is_minimal,
-        pd_equals_ngens=table.pd == ideal.ngens,
+        pd_equals_ngens=pd == ideal.ngens,
     )
 
 
@@ -193,11 +244,18 @@ class PdHeightReport:
 def pd_vs_height_report(
     ideal: MonomialIdeal, field: FieldSpec | None = None
 ) -> PdHeightReport:
-    """Projective dimension against the lattice height, with the implications
-    that tie them: geometric or LSM+coatomic forces equality, and equality
-    forces strong complementation.  A broken implication raises."""
+    """Projective dimension, from :func:`lattice_pd`, against the lattice
+    height h, with the implications that tie them: geometric or LSM+coatomic
+    forces equality, and equality forces strong complementation.
+
+    Equality is also decided by a second route.  A nonzero Betti entry at
+    (h, m) needs a chain of length h below m, so m is the top: pd = h
+    exactly when the open interval (bottom, top) has nonzero reduced
+    homology in dimension h - 2.  That one group is computed on the top
+    crosscut complex and compared with ``equal``.  A broken implication or a
+    disagreement raises ``ContractViolation``."""
     L = lcm_lattice(ideal)
-    pd = lattice_betti_table(L, field).pd
+    pd = lattice_pd(L, field)
     ht = height(L)
     geo = is_geometric(L)[0]
     lsm_co = is_lower_semimodular(L)[0] and is_coatomic(L)[0]
@@ -212,6 +270,12 @@ def pd_vs_height_report(
     )
     if pd > ht:
         raise ContractViolation(f"pd {pd} exceeds lattice height {ht} for {ideal}")
+    top = reduced_homology_rank(crosscut_complex(L, L.bottom, L.top), ht - 2, field)
+    if rep.equal != (top > 0):
+        raise ContractViolation(
+            f"pd {pd}, height {ht}, but the top interval's reduced homology in "
+            f"dimension {ht - 2} has rank {top} for {ideal}"
+        )
     if geo and not rep.equal:
         raise ContractViolation(f"geometric lattice but pd < height for {ideal}")
     if lsm_co and not rep.equal:

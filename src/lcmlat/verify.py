@@ -55,6 +55,7 @@ from .lattice import (
 from .resolutions import (
     boolean_equivalence,
     lattice_betti_table,
+    lattice_pd,
     pd_vs_height_report,
 )
 from .taylor import taylor_betti
@@ -269,13 +270,13 @@ def _ideal_ce(name, ideal, detail):
     return {"instance": name, "ideal": formats.ideal_to_json(ideal), "detail": detail}
 
 
-def _bound_violations(name, ideal, table, L):
+def _bound_violations(name, ideal, pd, L):
     """pd <= lattice height and pd <= meet-irreducible width."""
     out = []
-    if table.pd > height(L):
-        out.append(_ideal_ce(name, ideal, f"pd {table.pd} > height {height(L)}"))
-    if table.pd > mi_width(L):
-        out.append(_ideal_ce(name, ideal, f"pd {table.pd} > mi width {mi_width(L)}"))
+    if pd > height(L):
+        out.append(_ideal_ce(name, ideal, f"pd {pd} > height {height(L)}"))
+    if pd > mi_width(L):
+        out.append(_ideal_ce(name, ideal, f"pd {pd} > mi width {mi_width(L)}"))
     return out
 
 
@@ -302,7 +303,7 @@ def _run_special_families(seed, count, field):
         graded_ok = is_graded(L)[0]
         checks.append((f"K{n} graded", graded_ok, True))
         checks.append((f"K{n} complemented", is_complemented(L)[0], True))
-        checks.append((f"K{n} pd", lattice_betti_table(L, field).pd, n - 1))
+        checks.append((f"K{n} pd", lattice_pd(L, field), n - 1))
         checks.append((f"K{n} rank", height(L) if graded_ok else None, n - 1))
     return len(checks), [
         {"instance": name, "detail": f"got {got}, expected {want}"}
@@ -316,7 +317,7 @@ def _run_pd_height_bound(seed, count, field):
     found = []
     for name, ideal in pool:
         L = lcm_lattice(ideal)
-        found.extend(_bound_violations(name, ideal, lattice_betti_table(L, field), L))
+        found.extend(_bound_violations(name, ideal, lattice_pd(L, field), L))
     return len(pool), found
 
 
@@ -325,11 +326,11 @@ def _run_boolean_equivalence(seed, count, field):
     found = []
     for name, ideal in pool:
         L = lcm_lattice(ideal)
-        table = lattice_betti_table(L, field)
-        four = boolean_equivalence(ideal, L, table)
+        pd = lattice_pd(L, field)
+        four = boolean_equivalence(ideal, L, pd)
         if not four.all_agree():
             found.append(_ideal_ce(name, ideal, str(four)))
-        found.extend(_bound_violations(name, ideal, table, L))
+        found.extend(_bound_violations(name, ideal, pd, L))
     return len(pool), found
 
 
@@ -360,7 +361,7 @@ def _run_modular_cm(seed, count, field):
             found.append({"instance": name, "detail": "fixture not modular"})
             continue
         ideal = phan_ideal(L)
-        pd = lattice_betti_table(lcm_lattice(ideal), field).pd
+        pd = lattice_pd(lcm_lattice(ideal), field)
         ht = ideal_height(ideal)
         if pd != ht:
             found.append(
@@ -519,9 +520,10 @@ def run_cases(ids, *, max_n=6, seed=0, char=None, jobs=1, count=None):
 
 def betti_oracle_check(count=200, seed=0):
     """Compare the interval-homology Betti tables against the independent
-    Taylor-complex oracle, entry for entry, over GF(2) and GF(DEFAULT_PRIME)
-    on seeded random ideals; the pd bounds are checked along the way.  Not a
-    catalog case: used by the acceptance suite."""
+    Taylor-complex oracle, entry for entry, and ``lattice_pd`` against the
+    table's pd, over GF(2) and GF(DEFAULT_PRIME) on seeded random ideals;
+    the pd bounds are checked along the way.  Not a catalog case: used by
+    the acceptance suite."""
     res = VerificationResult("betti-oracle", count)
     for name, ideal in _seeded(seed, count, (5, 8, 3)):
         L = lcm_lattice(ideal)
@@ -531,5 +533,9 @@ def betti_oracle_check(count=200, seed=0):
                 res.counterexamples.append(
                     _ideal_ce(name, ideal, f"tables differ over {fs}")
                 )
-            res.counterexamples.extend(_bound_violations(name, ideal, mine, L))
+            pd = lattice_pd(L, fs)
+            if pd != mine.pd:
+                detail = f"lattice_pd {pd}, table pd {mine.pd} over {fs}"
+                res.counterexamples.append(_ideal_ce(name, ideal, detail))
+            res.counterexamples.extend(_bound_violations(name, ideal, mine.pd, L))
     return res

@@ -18,6 +18,7 @@ from lcmlat.homology import (
     complex_from_facets,
     euler_characteristic,
     full_simplex_complex,
+    reduced_homology_rank,
     reduced_homology_ranks,
     sparse_rank,
 )
@@ -172,6 +173,11 @@ def test_projective_plane_homology_depends_on_the_field():
     for char in (0, 3, 32003):
         assert reduced_homology_ranks(K, FieldSpec(char)) == zero, char
     assert reduced_homology_ranks(K) == zero
+    # each group alone, by the one-dimension route
+    for field in (FieldSpec(2), FieldSpec(3), FieldSpec(0), None):
+        ranks = reduced_homology_ranks(K, field)
+        for d in range(-2, 4):
+            assert reduced_homology_rank(K, d, field) == ranks.get(d, 0), (field, d)
 
 
 
@@ -184,7 +190,7 @@ def test_projective_plane_torsion_in_both_betti_routes():
     from itertools import combinations
 
     from lcmlat.ideals import Monomial, MonomialIdeal, lcm_lattice
-    from lcmlat.resolutions import lattice_betti_table
+    from lcmlat.resolutions import lattice_betti_table, lattice_pd
     from lcmlat.taylor import taylor_betti
 
     missing = [t for t in combinations(range(1, 7), 3) if t not in RP2_FACETS]
@@ -198,7 +204,9 @@ def test_projective_plane_torsion_in_both_betti_routes():
         taylor = taylor_betti(I, FieldSpec(char))
         at_top = {i: r for (i, m), r in taylor.items() if m == top}
         assert at_top == ({3: 1, 4: 1} if char == 2 else {}), char
-        assert taylor == lattice_betti_table(L, FieldSpec(char)).multigraded, char
+        table = lattice_betti_table(L, FieldSpec(char))
+        assert taylor == table.multigraded, char
+        assert lattice_pd(L, FieldSpec(char)) == table.pd, char
 
 def test_default_field_confirms_char0(monkeypatch):
     F = fano_lattice()

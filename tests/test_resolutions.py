@@ -4,17 +4,31 @@ import random
 
 import pytest
 
-from lcmlat.errors import ResourceLimit
+import lcmlat.resolutions as res
+from lcmlat.errors import ContractViolation, ResourceLimit
 from lcmlat.fields import FieldSpec
+from lcmlat.homology import reduced_homology_rank
 from lcmlat.ideals import Monomial, lcm_lattice, minimalize, phan_ideal
 from lcmlat.constructions import fano_lattice, graphic_matroid_ideal, subspace_lattice
-from lcmlat.graphs import complete, edge_ideal, graph_fixture, path, star
+from lcmlat.graphs import (
+    complete,
+    connected_graph_masks,
+    cycle,
+    edge_ideal,
+    graph_fixture,
+    graph_from_mask,
+    path,
+    star,
+)
+from lcmlat.lattice import crosscut_complex, is_atomic, lattice_from_covers
 from lcmlat.resolutions import (
+    _vanishing_bounds,
     betti_table,
     boolean_equivalence,
     is_cohen_macaulay,
     is_pure,
     lattice_betti_table,
+    lattice_pd,
     pd_vs_height_report,
     projective_dimension,
     taylor_is_minimal,
@@ -88,7 +102,7 @@ def test_boolean_equivalence_cases():
     ]:
         I = ideal(*gens)
         L = lcm_lattice(I)
-        rep = boolean_equivalence(I, L, lattice_betti_table(L))
+        rep = boolean_equivalence(I, L, lattice_pd(L))
         assert rep.all_agree()
         assert rep.lattice_is_boolean is verdict
 
@@ -108,6 +122,71 @@ def test_pd_vs_height_reports():
     assert not p5.equal and p5.lattice_strongly_complemented
     k4 = pd_vs_height_report(edge_ideal(complete(4)))
     assert k4.lattice_lsm_coatomic and k4.equal
+
+
+def test_pd_vs_height_second_route_reads_the_top_group(monkeypatch):
+    # pd = height h exactly when the top interval has nonzero reduced
+    # homology in dimension h - 2: C5 (17 elements, pd 3 < height 4) has
+    # none there, K4 (pd = height = 3) has some
+    cases = {"C5": edge_ideal(cycle(5)), "K4": edge_ideal(complete(4))}
+    reports = {}
+    for name, I in cases.items():
+        L = lcm_lattice(I)
+        top = reduced_homology_rank(
+            crosscut_complex(L, L.bottom, L.top), L.chain_ranks[L.top] - 2
+        )
+        reports[name] = pd_vs_height_report(I)
+        assert (top > 0) == reports[name].equal == (name == "K4"), name
+    assert lcm_lattice(cases["C5"]).n == 17
+    assert (reports["C5"].pd, reports["C5"].lattice_height) == (3, 4)
+
+    # a top group that disagrees with the pd is a contract violation
+    monkeypatch.setattr(res, "reduced_homology_rank", lambda K, d, field=None: 1)
+    with pytest.raises(ContractViolation, match="dimension 2 has rank 1"):
+        pd_vs_height_report(cases["C5"])
+    monkeypatch.setattr(res, "reduced_homology_rank", lambda K, d, field=None: 0)
+    with pytest.raises(ContractViolation, match="dimension 1 has rank 0"):
+        pd_vs_height_report(cases["K4"])
+
+
+#: random_ideal shapes (max variables, max generators, max degree) of the
+#: seeded pools below.
+PD_POOL_SHAPES = ((5, 5, 3), (6, 6, 4), (4, 8, 3), (6, 8, 2))
+
+
+@pytest.fixture(scope="module")
+def pd_lattices(lattice_pool):
+    """LCM lattices of seeded ideals of each pool shape, of the Phan ideals
+    of the atomic pool lattices, and of the edge ideals of every connected
+    graph on 2-5 vertices."""
+    out = []
+    for shape in PD_POOL_SHAPES:
+        rng = random.Random(11)
+        out += [lcm_lattice(random_ideal(rng, *shape)) for _ in range(50)]
+    for L in lattice_pool.values():
+        if L.n > 1 and is_atomic(L)[0]:
+            out.append(lcm_lattice(phan_ideal(L)))
+    for n in range(2, 6):
+        for mask in connected_graph_masks(n):
+            out.append(lcm_lattice(edge_ideal(graph_from_mask(n, mask))))
+    return out
+
+
+@pytest.mark.parametrize("char", [2, 32003, None])
+def test_lattice_pd_equals_the_table_pd(pd_lattices, char):
+    field = None if char is None else FieldSpec(char)
+    for L in pd_lattices:
+        assert lattice_pd(L, field) == lattice_betti_table(L, field).pd, L.labels[L.top]
+    with pytest.raises(ValueError, match="labels"):
+        lattice_pd(lattice_from_covers(2, [(0, 1)]))
+
+
+def test_betti_entries_vanish_above_the_bound(pd_lattices):
+    # beta_{i,m} = 0 for i > min(atoms of [0, m], lower covers of m, rank m)
+    for L in pd_lattices:
+        bound = dict(zip(L.labels, _vanishing_bounds(L)))
+        table = lattice_betti_table(L, FieldSpec(32003))
+        assert all(i <= bound[m] for (i, m), r in table.multigraded.items() if r)
 
 
 def test_taylor_oracle_small_agreement():

@@ -95,6 +95,15 @@ def test_betti_oracle_check_small():
     assert res.passed
 
 
+def test_betti_oracle_check_records_a_pd_route_mismatch(monkeypatch):
+    import lcmlat.verify as verify
+
+    monkeypatch.setattr(verify, "lattice_pd", lambda L, field=None: -1)
+    res = betti_oracle_check(count=3, seed=9)
+    assert len(res.counterexamples) == 6  # three ideals, two fields
+    assert all("lattice_pd -1, table pd" in ce["detail"] for ce in res.counterexamples)
+
+
 def test_jobs_parallel_matches_serial():
     serial = run_cases(["coatomic"], max_n=4, jobs=1)[0]
     parallel = run_cases(["coatomic"], max_n=4, jobs=2)[0]
