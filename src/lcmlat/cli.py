@@ -34,9 +34,9 @@ from .ideals import (
 )
 from .lattice import height, mobius, property_report
 from .resolutions import (
+    betti_table,
     is_cohen_macaulay,
     is_pure,
-    lattice_betti_table,
     projective_dimension,
     taylor_is_minimal,
 )
@@ -89,7 +89,7 @@ def _cmd_ideal(args) -> int:
         _emit(args, obj, formats.dumps_json(formats.lattice_to_json(L))
               + "\n" + rep.render_text())
     elif sub == "betti":
-        table = lattice_betti_table(lcm_lattice(ideal), _field(args))
+        table = betti_table(ideal, _field(args))
         obj = formats.betti_to_json(table)
         text = table.render_text()
         if args.multigraded:

@@ -61,16 +61,6 @@ class SimplicialComplexData:
                             raise ValueError("not subset-closed")
 
 
-def full_simplex_complex(vertices) -> SimplicialComplexData:
-    """The full simplex on the given vertices (used in tests)."""
-    verts = tuple(vertices)
-    k = len(verts)
-    faces = {-1: [()]}
-    for d in range(k):
-        faces[d] = sorted(combinations(range(k), d + 1))
-    return SimplicialComplexData(vertices=verts, faces_by_dim=faces)
-
-
 def complex_from_facets(vertices, facets) -> SimplicialComplexData:
     """Subset-closure of the given facets (used in tests and debugging)."""
     verts = tuple(vertices)
@@ -188,44 +178,23 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     """Ranks of reduced homology, as a dict {dimension: rank} for the
     dimensions -1 .. dim(K).
 
-    With ``field=None`` the ranks are computed over GF(32003) and, while the
-    boundary matrices stay small, confirmed over the rationals; a mismatch is
-    reported as a warning and the rational answer wins.
+    With ``field=None`` the ranks are computed over GF(32003) and, when every
+    dimension of K has fewer than ``CHAR0_CONFIRM_COLUMNS`` faces, confirmed
+    over the rationals; a mismatch is reported as a warning and the rational
+    answer wins.
     """
     boundaries = [boundary_matrix(K, d) for d in range(K.dim + 1)]
-    return _confirmed(K, field, lambda fs: _homology_ranks(boundaries, fs))
-
-
-def reduced_homology_rank(
-    K: SimplicialComplexData, d: int, field: FieldSpec | None = None
-) -> int:
-    """Rank of reduced homology in the one dimension d, with the field
-    handled as in :func:`reduced_homology_ranks`.  Only the boundary maps out
-    of dimensions d and d + 1 are built and reduced; outside -1 .. dim(K)
-    the rank is 0."""
-    if not -1 <= d <= K.dim:
-        return 0
-    maps = [boundary_matrix(K, e) for e in (d, d + 1) if 0 <= e <= K.dim]
-    return _confirmed(
-        K, field, lambda fs: K.n_faces(d) - sum(sparse_rank(m, fs) for m in maps)
-    )
-
-
-def _confirmed(K: SimplicialComplexData, field: FieldSpec | None, ranks):
-    """``ranks(field)``; with ``field=None``, over GF(32003) and, below
-    ``CHAR0_CONFIRM_COLUMNS`` faces in every dimension of K, confirmed over
-    the rationals."""
     if field is not None:
-        return ranks(field)
-    fast = ranks(FieldSpec(DEFAULT_PRIME))
-    if max((K.n_faces(d) for d in K.faces_by_dim), default=0) >= CHAR0_CONFIRM_COLUMNS:
+        return _homology_ranks(boundaries, field)
+    fast = _homology_ranks(boundaries, FieldSpec(DEFAULT_PRIME))
+    if max(K.n_faces(d) for d in K.faces_by_dim) >= CHAR0_CONFIRM_COLUMNS:
         return fast
-    exact = ranks(FieldSpec(0))
+    exact = _homology_ranks(boundaries, FieldSpec(0))
     if exact != fast:
         warnings.warn(
             f"homology ranks differ between GF({DEFAULT_PRIME}) and char 0: "
             f"{fast} vs {exact}; using char 0",
-            stacklevel=3,
+            stacklevel=2,
         )
         return exact
     return fast

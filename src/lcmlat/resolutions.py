@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import ContractViolation
 from .fields import FieldSpec
-from .homology import reduced_homology_rank, reduced_homology_ranks
+from .homology import reduced_homology_ranks
 from .ideals import MonomialIdeal, Monomial, ideal_height, lcm_lattice
 from .lattice import (
     FiniteLattice,
@@ -117,6 +117,23 @@ def _vanishing_bounds(L: FiniteLattice) -> list:
     ]
 
 
+def _pd_visit(L: FiniteLattice, field: FieldSpec | None):
+    """(pd, ranks of the top interval) by the visit of :func:`lattice_pd`;
+    the ranks are None when the visit stopped before the top."""
+    if L.labels is None:
+        raise ValueError("lattice must carry monomial labels")
+    bounds = _vanishing_bounds(L)
+    pd, top = 0, None
+    for m in sorted(range(L.n), key=bounds.__getitem__, reverse=True):
+        if bounds[m] <= pd:
+            break
+        ranks = _interval_ranks(L, m, field)
+        if m == L.top:
+            top = ranks
+        pd = max([pd] + [d + 2 for d, r in ranks.items() if r])
+    return pd, top
+
+
 def lattice_pd(L: FiniteLattice, field: FieldSpec | None = None) -> int:
     """Projective dimension of S/I from its labeled LCM lattice; equal to
     ``lattice_betti_table(L, field).pd``.
@@ -125,16 +142,7 @@ def lattice_pd(L: FiniteLattice, field: FieldSpec | None = None) -> int:
     ``_vanishing_bounds``), each interval computed as the table computes it,
     and the visit stops at the first element whose bound cannot exceed the
     pd found so far: none of the intervals left can raise it."""
-    if L.labels is None:
-        raise ValueError("lattice must carry monomial labels")
-    bounds = _vanishing_bounds(L)
-    pd = 0
-    for m in sorted(range(L.n), key=bounds.__getitem__, reverse=True):
-        if bounds[m] <= pd:
-            break
-        ranks = _interval_ranks(L, m, field)
-        pd = max([pd] + [d + 2 for d, r in ranks.items() if r])
-    return pd
+    return _pd_visit(L, field)[0]
 
 
 def betti_table(ideal: MonomialIdeal, field: FieldSpec | None = None) -> BettiTable:
@@ -251,11 +259,12 @@ def pd_vs_height_report(
     Equality is also decided by a second route.  A nonzero Betti entry at
     (h, m) needs a chain of length h below m, so m is the top: pd = h
     exactly when the open interval (bottom, top) has nonzero reduced
-    homology in dimension h - 2.  That one group is computed on the top
-    crosscut complex and compared with ``equal``.  A broken implication or a
-    disagreement raises ``ContractViolation``."""
+    homology in dimension h - 2.  That group is read off the top interval's
+    ranks, which the pd visit has computed unless it stopped before the top;
+    only then is the top interval computed here.  A broken implication or a
+    disagreement of the two routes raises ``ContractViolation``."""
     L = lcm_lattice(ideal)
-    pd = lattice_pd(L, field)
+    pd, top_ranks = _pd_visit(L, field)
     ht = height(L)
     geo = is_geometric(L)[0]
     lsm_co = is_lower_semimodular(L)[0] and is_coatomic(L)[0]
@@ -270,7 +279,9 @@ def pd_vs_height_report(
     )
     if pd > ht:
         raise ContractViolation(f"pd {pd} exceeds lattice height {ht} for {ideal}")
-    top = reduced_homology_rank(crosscut_complex(L, L.bottom, L.top), ht - 2, field)
+    if top_ranks is None:
+        top_ranks = _interval_ranks(L, L.top, field)
+    top = top_ranks.get(ht - 2, 0)
     if rep.equal != (top > 0):
         raise ContractViolation(
             f"pd {pd}, height {ht}, but the top interval's reduced homology in "

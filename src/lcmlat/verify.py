@@ -57,6 +57,7 @@ from .resolutions import (
     lattice_betti_table,
     lattice_pd,
     pd_vs_height_report,
+    projective_dimension,
 )
 from .taylor import taylor_betti
 
@@ -361,7 +362,7 @@ def _run_modular_cm(seed, count, field):
             found.append({"instance": name, "detail": "fixture not modular"})
             continue
         ideal = phan_ideal(L)
-        pd = lattice_pd(lcm_lattice(ideal), field)
+        pd = projective_dimension(ideal, field)
         ht = ideal_height(ideal)
         if pd != ht:
             found.append(

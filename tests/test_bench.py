@@ -21,14 +21,24 @@ def test_tracer_binds_every_traced_function(monkeypatch):
 
 def test_every_workload_checks_its_first_item(monkeypatch):
     """Each benchmark workload runs and passes its check on its first item,
-    so a change to the code it calls fails here and not only in a benchmark
+    traced as in a ``--trace 1`` run, so a change to the code it calls or to
+    what the tracer's counters read fails here and not only in a benchmark
     run."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
     import workloads
 
     assert set(workloads.WORKLOADS) == {
         "betti-large", "verify-pool", "sweep6", "oracle"
     }
-    for name, workload in workloads.WORKLOADS.items():
-        _item_id, x = workload.setup(1)[0]
-        assert workload.check(x, workload.run(x)), name
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, workload in workloads.WORKLOADS.items():
+            item_id, x = workload.setup(1)[0]
+            with tracer.item(item_id):
+                result = workload.run(x)
+            assert workload.check(x, result), name
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["homology.sparse_rank.gfp.calls"] > 0

@@ -300,7 +300,7 @@ def test_interrupt_and_memory_error_exit_cleanly(capsys, monkeypatch, tmp_path,
     def raising(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "lattice_betti_table", raising)
+    monkeypatch.setattr(cli, "betti_table", raising)
     f = tmp_path / "two.ideal"
     f.write_text("x1*x2\nx2*x3\n")
     code, out, err = run(capsys, ["ideal", "betti", str(f)])

@@ -7,7 +7,6 @@ import pytest
 import lcmlat.resolutions as res
 from lcmlat.errors import ContractViolation, ResourceLimit
 from lcmlat.fields import FieldSpec
-from lcmlat.homology import reduced_homology_rank
 from lcmlat.ideals import Monomial, lcm_lattice, minimalize, phan_ideal
 from lcmlat.constructions import fano_lattice, graphic_matroid_ideal, subspace_lattice
 from lcmlat.graphs import (
@@ -20,7 +19,7 @@ from lcmlat.graphs import (
     path,
     star,
 )
-from lcmlat.lattice import crosscut_complex, is_atomic, lattice_from_covers
+from lcmlat.lattice import is_atomic, lattice_from_covers
 from lcmlat.resolutions import (
     _vanishing_bounds,
     betti_table,
@@ -127,26 +126,63 @@ def test_pd_vs_height_reports():
 def test_pd_vs_height_second_route_reads_the_top_group(monkeypatch):
     # pd = height h exactly when the top interval has nonzero reduced
     # homology in dimension h - 2: C5 (17 elements, pd 3 < height 4) has
-    # none there, K4 (pd = height = 3) has some
-    cases = {"C5": edge_ideal(cycle(5)), "K4": edge_ideal(complete(4))}
+    # none there, K4 (pd = height = 3) has some.  The pd visit of P4
+    # (7 elements, pd 2 < height 3) stops before the top, so the report
+    # computes the top interval itself.
+    cases = {
+        "C5": edge_ideal(cycle(5)),
+        "K4": edge_ideal(complete(4)),
+        "P4": edge_ideal(path(4)),
+    }
     reports = {}
     for name, I in cases.items():
         L = lcm_lattice(I)
-        top = reduced_homology_rank(
-            crosscut_complex(L, L.bottom, L.top), L.chain_ranks[L.top] - 2
-        )
+        top = res._interval_ranks(L, L.top, None).get(L.chain_ranks[L.top] - 2, 0)
         reports[name] = pd_vs_height_report(I)
         assert (top > 0) == reports[name].equal == (name == "K4"), name
     assert lcm_lattice(cases["C5"]).n == 17
     assert (reports["C5"].pd, reports["C5"].lattice_height) == (3, 4)
+    P4 = lcm_lattice(cases["P4"])
+    assert P4.n == 7 and res._pd_visit(P4, None)[1] is None
+    assert (reports["P4"].pd, reports["P4"].lattice_height) == (2, 3)
 
-    # a top group that disagrees with the pd is a contract violation
-    monkeypatch.setattr(res, "reduced_homology_rank", lambda K, d, field=None: 1)
-    with pytest.raises(ContractViolation, match="dimension 2 has rank 1"):
-        pd_vs_height_report(cases["C5"])
-    monkeypatch.setattr(res, "reduced_homology_rank", lambda K, d, field=None: 0)
-    with pytest.raises(ContractViolation, match="dimension 1 has rank 0"):
-        pd_vs_height_report(cases["K4"])
+    # P7 (pd 4, height 6): the visit computes the top and then x2...x7.  A
+    # group in dimension h - 2 below x2...x7 raises the pd to the height, and
+    # the top, which has none there, then disagrees with it; below an
+    # element the visit never reaches, the same lie changes nothing.
+    P7 = edge_ideal(path(7))
+    real = res._interval_ranks
+
+    def lying_below(label):
+        def ranks(L, m, field):
+            out = real(L, m, field)
+            return {**out, 4: 1} if str(L.labels[m]) == label else out
+
+        return ranks
+
+    monkeypatch.setattr(res, "_interval_ranks", lying_below("x2*x3*x4*x5*x6*x7"))
+    with pytest.raises(ContractViolation, match="dimension 4 has rank 0"):
+        pd_vs_height_report(P7)
+    assert "x1*x2" in map(str, lcm_lattice(P7).labels)
+    monkeypatch.setattr(res, "_interval_ranks", lying_below("x1*x2"))
+    assert pd_vs_height_report(P7).pd == 4
+
+
+def test_pd_vs_height_builds_the_top_complex_once(monkeypatch):
+    # the second route reuses the top interval of the pd visit, and computes
+    # it only when the visit stopped before the top, as for P4
+    real = res.crosscut_complex
+    tops = []
+
+    def spy(L, lo, hi):
+        tops.append((lo, hi) == (L.bottom, L.top))
+        return real(L, lo, hi)
+
+    monkeypatch.setattr(res, "crosscut_complex", spy)
+    for G in (complete(4), cycle(5), path(4)):
+        tops.clear()
+        pd_vs_height_report(edge_ideal(G))
+        assert tops.count(True) == 1, G
 
 
 #: random_ideal shapes (max variables, max generators, max degree) of the
