@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import BadParameter, NoEdges, TheoremViolation, TooLarge
-from .ideals import Monomial, MonomialIdeal, lcm_lattice
+from .ideals import Monomial, MonomialIdeal, _union_closure_lattice
 from .lattice import (
     MAX_ELEMENTS,
     FiniteLattice,
@@ -128,12 +128,17 @@ def graph_fixture(name: str) -> Graph:
 # -- edge ideals and their lattices -------------------------------------------
 
 
-def edge_ideal(G: Graph) -> MonomialIdeal:
-    """Squarefree quadratic ideal with one generator x_u x_v per edge."""
+def _edges(G: Graph) -> tuple:
+    """G's edges; raises NoEdges when there are none."""
     if not G.nontrivial:
         raise NoEdges("the graph has no edges")
+    return G.edges
+
+
+def edge_ideal(G: Graph) -> MonomialIdeal:
+    """Squarefree quadratic ideal with one generator x_u x_v per edge."""
     gens = []
-    for u, v in G.edges:
+    for u, v in _edges(G):
         exps = [0] * G.n
         exps[u] = exps[v] = 1
         gens.append(Monomial(tuple(exps)))
@@ -142,8 +147,12 @@ def edge_ideal(G: Graph) -> MonomialIdeal:
 
 def edge_ideal_lattice(G: Graph) -> FiniteLattice:
     """LCM lattice of the edge ideal: its elements are the induced subgraphs
-    without isolated vertices, labelled by their vertex sets."""
-    return lcm_lattice(edge_ideal(G))
+    without isolated vertices, labelled by their vertex sets.  It is
+    ``lcm_lattice(edge_ideal(G))``, built from the edges without the ideal:
+    a vertex owns one polarization bit, an isolated one none."""
+    offsets = list(itertools.accumulate((a != 0 for a in G.adjacency), initial=0))
+    masks = [1 << offsets[u] | 1 << offsets[v] for u, v in _edges(G)]
+    return _union_closure_lattice(masks, offsets)
 
 
 # -- induced-subgraph predicates -----------------------------------------------

@@ -61,28 +61,6 @@ class SimplicialComplexData:
                             raise ValueError("not subset-closed")
 
 
-def complex_from_facets(vertices, facets) -> SimplicialComplexData:
-    """Subset-closure of the given facets (used in tests and debugging)."""
-    verts = tuple(vertices)
-    seen = {()}
-    for f in facets:
-        f = tuple(sorted(f))
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if g in seen:
-                continue
-            seen.add(g)
-            for k in range(len(g)):
-                stack.append(g[:k] + g[k + 1 :])
-    faces = {}
-    for f in seen:
-        faces.setdefault(len(f) - 1, []).append(f)
-    return SimplicialComplexData(
-        vertices=verts, faces_by_dim={d: sorted(fs) for d, fs in faces.items()}
-    )
-
-
 class SparseColumns(NamedTuple):
     """An integer matrix with ``nrows`` rows, stored by column:
     ``columns[j]`` maps each row index to the non-zero entry of column j."""
@@ -212,9 +190,3 @@ def _homology_ranks(boundaries, field: FieldSpec):
         d: faces[d + 1] - rank[d + 1] - rank[d + 2]
         for d in range(-1, len(boundaries))
     }
-
-
-def euler_characteristic(K: SimplicialComplexData) -> int:
-    """Reduced Euler characteristic: alternating face-count sum over
-    dimensions >= -1."""
-    return sum((-1) ** d * K.n_faces(d) for d in K.faces_by_dim)

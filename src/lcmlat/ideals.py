@@ -157,7 +157,14 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """LCM lattice: lcms of generator subsets ordered by divisibility, with
     monomial labels; the empty subset contributes 1 as the bottom.  Elements
     are ordered by (degree, exponent vector)."""
-    masks, offsets = _polarization(ideal.gens)
+    return _union_closure_lattice(*_polarization(ideal.gens))
+
+
+def _union_closure_lattice(masks, offsets) -> FiniteLattice:
+    """The LCM lattice of the monomials with these polarization bitmasks,
+    where variable v owns the bits from offsets[v] to offsets[v + 1]: the
+    closure of masks and the empty mask under ``|``, labelled by popcount
+    per block and in lcm_lattice's element order."""
     current = {0, *masks}
     frontier = masks
     while frontier:

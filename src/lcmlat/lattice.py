@@ -4,8 +4,9 @@ The order is stored as bitset rows (python ints): ``below[j]`` has bit ``i``
 set exactly when ``i <= j``, and ``above`` is its transpose.  Element ids
 are the caller's and need not follow the order.  The meet of a pair is the
 element whose down-set is the intersection of theirs, the join likewise on
-up-sets.  Meet and join tables are tuples of row tuples, ``L.meet[x][y]``;
-the property checks loop over those rows and the bitsets, in plain Python.
+up-sets.  Meet and join tables are tuples of rows, ``L.meet[x][y]``: rows
+are ``bytes`` when every index fits a byte (n ≤ 256), else tuples.  The
+property checks loop over those rows and the bitsets, in plain Python.
 
 The tables are filled on one of two paths, after the same order-axiom scan
 and with the same checks and messages.  ``from_below_masks`` looks each pair
@@ -19,15 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, count, islice, zip_longest
+from itertools import compress, count, islice, repeat, zip_longest
 from operator import add, and_, eq, gt, lt, ne, not_, or_
 from typing import Sequence
 
 from .errors import CyclicCovers, NotALattice, NotBounded, NotComparable
 from .homology import SimplicialComplexData
 
-#: Hard cap on element count.  The meet and join tables hold 2 * n**2 row
-#: references, which a build fills row by row rather than failing at once.
+#: Hard cap on element count.  Above 256 elements the meet and join tables
+#: hold 2 * n**2 row references, which a build fills row by row rather than
+#: failing at once.
 #: On a 2-core x86 box with Python 3.11 the Boolean lattice B13, at this
 #: cap, took 106 s to build with a 1.72 GB peak RSS; B12 took 13.8 s and
 #: 444 MB.
@@ -329,9 +331,11 @@ def _checked_tables(bottom, top, rows, missing):
 
 def _symmetric(lower) -> tuple:
     """Rows of the symmetric table whose row i up to the diagonal is
-    lower[i]; column i from the diagonal down is the transpose of lower."""
+    lower[i]; column i from the diagonal down is the transpose of lower.
+    Rows are bytes when every index fits a byte, else tuples."""
+    row_type = bytes if len(lower) <= 256 else tuple
     return tuple(
-        tuple(row[:i]) + col[i:]
+        row_type(row[:i]) + row_type(col[i:])
         for i, (row, col) in enumerate(zip(lower, zip_longest(*lower)))
     )
 
@@ -371,8 +375,10 @@ def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     return FiniteLattice.from_below_masks(below, labels)
 
 
-#: The byte that ``_inside`` writes where a subset holds no member.
+#: The byte that ``_byte_lanes`` writes where a subset has no largest member.
 _NO_MEMBER = 255
+#: Bytes 0 and 1 as the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def lattice_of_sets(masks, labels=None) -> FiniteLattice:
@@ -386,39 +392,40 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     containing their union, is the set whose complement is the largest
     complement inside the intersection of theirs: the join table of the
     family is the meet table of its complements, with the top element at
-    the empty set.  ``_subsets`` gives the down-sets of either family.
+    the empty set.
 
-    When U has k ≤ 8 points, there are n ≤ 254 sets and 2**k ≤ n*n, the
-    meet table is filled by byte lanes, with no Python loop over pairs, and
-    the join table likewise from the complements.  ``_inside`` maps every
-    subset of range(k) to the largest member inside it, as a 256-byte
-    ``bytes.translate`` table, and row i is the masks, packed one per byte,
-    ANDed with n copies of masks[i] and translated.  A mask must fit a
-    byte, so k ≤ 8.  An index must be a byte other than the marker 255, so
-    n ≤ 254; the only families of 255 or more sets on 8 points are B8 and
-    B8 less one set, which the dict path builds.  Every other family is
-    built by ``from_below_masks``, one dict lookup per pair.  The two
-    translate tables cost a DP over the 2**k subsets each, so for few sets
-    the dict path is cheaper: on union-closed families, k = 3..8, whole
-    builds break even between n*n = 4 * 2**k and 6 * 2**k (Python 3.11,
-    2-core x86), and at n*n = 2**k the byte path takes 1.3 to 2.5 times as
-    long, under 0.3 ms.  The rule 2**k ≤ n*n is kept: a rule at 6 * 2**k
-    would move 2,941 of the 3,233 byte-path builds of a verify-pool
-    benchmark pass to the dict path and save 0.02 to 0.03 s on them.
+    When U has k ≤ 8 points, there are n ≤ 254 sets and 2**k ≤ n*n, one DP
+    over the 2**k subsets of range(k) per side gives everything else, with
+    no Python loop over pairs.  ``_byte_lanes`` maps every subset t to the
+    bitmask of the members inside t, so the down-set of member j is its
+    entry at masks[j].  The largest member inside t is the one whose
+    down-set is that entry, when there is one; as a 256-byte
+    ``bytes.translate`` table, it turns row i, the masks packed one per
+    byte and ANDed with n copies of masks[i], into row i of the meet table.
+    The complements give the up-sets and the join table the same way.  A
+    mask must fit a byte, so k ≤ 8.  An index must be a byte other than the
+    marker 255, so n ≤ 254; the only families of 255 or more sets on 8
+    points are B8 and B8 less one set, which the dict path builds.  Every
+    other family is built by ``from_below_masks``, one dict lookup per
+    pair.  On union-closed families, k = 3..8 (Python 3.11, 2-core x86),
+    whole builds on the byte path take 0.63 to 0.89 times as long as on
+    the dict path at n*n = 2**k, and break even between n*n = 0.4 * 2**k
+    and 0.56 * 2**k; at n*n ≤ 2**k / 4 they take 1.2 to 3.1 times as long.
+    The rule 2**k ≤ n*n is kept: a rule at 2**(k-1) would move 339 of the
+    3,734 builds of a verify-pool benchmark pass to the byte path and save
+    0.2 ms on them.
     """
     universe = reduce(or_, masks, 0)
-    below = _subsets(masks, universe)
     n, k = len(masks), universe.bit_length()
     if not (k <= 8 and n < _NO_MEMBER and 1 << k <= n * n):
-        return FiniteLattice.from_below_masks(below, labels)
-    _check_order(below)
+        return FiniteLattice.from_below_masks(_subsets(masks, universe), labels)
     complements = [universe ^ m for m in masks]
-    down, bottom = _inside(masks, k, reduce(and_, masks))
-    up, top = _inside(complements, k, 0)
+    below, down, bottom = _byte_lanes(masks, k, reduce(and_, masks))
+    above, up, top = _byte_lanes(complements, k, 0)
+    _check_order(below)
     meet, join = _checked_tables(bottom, top, zip(down, up), _NO_MEMBER)
     return FiniteLattice(
-        tuple(below), tuple(_subsets(complements, universe)),
-        tuple(map(tuple, meet)), tuple(map(tuple, join)),
+        tuple(below), tuple(above), tuple(meet), tuple(join),
         bottom, top, tuple(labels) if labels is not None else None,
     )
 
@@ -441,35 +448,39 @@ def _subsets(masks, universe: int) -> list:
     return below
 
 
-def _inside(masks, k: int, s: int) -> tuple:
-    """For n ≤ 254 distinct masks on range(k), k ≤ 8: the rows, as bytes,
-    of the table whose entry (i, j) is the index of the largest member
-    inside masks[i] & masks[j], and the index of the largest member inside
-    s; _NO_MEMBER where there is none.  The largest member inside t exists
-    exactly when the union U(t) of the members inside t is a member, and
-    U(t) is t for a member, else the union of U(t - b) over the b in t."""
-    index = {m: i for i, m in enumerate(masks)}
-    union = [0] * (1 << k)
-    for t in range(1 << k):
-        if t in index:
-            union[t] = t
-            continue
-        u, rest = 0, t
-        while rest:
-            low = rest & -rest
-            u |= union[t ^ low]
-            rest ^= low
-        union[t] = u
-    pad = bytes([_NO_MEMBER])
-    table = bytes(index.get(u, _NO_MEMBER) for u in union).ljust(256, pad)
+def _byte_lanes(masks, k: int, s: int) -> tuple:
+    """For n ≤ 254 masks on range(k), k ≤ 8: their inclusion down-sets;
+    the rows, as bytes, of the table whose entry (i, j) is the index of the
+    largest member inside masks[i] & masks[j]; and the index of the largest
+    member inside s.  _NO_MEMBER marks a subset with no largest member.
+
+    One DP gives inside[t], for each subset t of range(k), the bitmask of
+    the members inside t, a repeated mask included: the AND, over the
+    points b outside t, of the members lacking b.  It adds one point b at
+    a time to a list indexed by the subsets of the points below b: each
+    entry ANDed with the members lacking b is the entry of that subset,
+    and the entry unchanged is the entry of that subset plus b, which comes
+    2**b places later.  The down-set of member j is inside[masks[j]], and
+    the largest member inside t is the member whose down-set is inside[t],
+    when there is one."""
     n = len(masks)
-    packed = int.from_bytes(bytes(masks), "little")
+    packed = int.from_bytes(bytes(masks), "little")  # member i is byte i
     ones = int.from_bytes(b"\x01" * n, "little")
+    inside = [(1 << n) - 1]
+    for b in range(k):
+        # read from the top byte down as binary digits, the lanes of point
+        # b give its members bit by bit
+        having = ((packed >> b) & ones).to_bytes(n, "big").translate(_DIGITS)
+        inside = list(map(and_, inside, repeat(~int(having, 2)))) + inside
+    down_sets = list(map(inside.__getitem__, masks))
+    index = dict(zip(down_sets, count()))
+    table = bytes(map(index.get, inside, repeat(_NO_MEMBER)))
+    table = table.ljust(256, bytes([_NO_MEMBER]))
     rows = (
         (packed & r).to_bytes(n, "little").translate(table)
         for r in map(ones.__mul__, masks)
     )
-    return rows, table[s]
+    return down_sets, rows, table[s]
 
 
 # -- derived element sets ----------------------------------------------------

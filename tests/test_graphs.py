@@ -6,6 +6,7 @@ import pytest
 
 from lcmlat.errors import BadParameter, NoEdges
 from lcmlat.graphs import (
+    GRAPH_FIXTURES,
     Graph,
     check_graph_theorems,
     complemented_via_independent_sets,
@@ -28,6 +29,7 @@ from lcmlat.graphs import (
     path,
     star,
 )
+from lcmlat.ideals import lcm_lattice
 from lcmlat.lattice import is_complemented
 
 
@@ -230,6 +232,25 @@ def test_edge_ideal_lattice_is_the_induced_subgraphs_without_isolated_vertices()
         for i, a in enumerate(supports):
             for j, b in enumerate(supports):
                 assert L.leq(i, j) == (a <= b), (G.edges, a, b)
+
+
+def test_edge_ideal_lattice_is_the_lcm_lattice_of_the_edge_ideal():
+    # the graph route skips edge_ideal; it must give lcm_lattice's lattice,
+    # element order and labels included, isolated vertices (1, 2, 4) too
+    graphs = [
+        graph_from_mask(n, mask)
+        for n in range(2, 6)
+        for mask in connected_graph_masks(n)
+    ]
+    graphs += [*GRAPH_FIXTURES.values(), Graph(7, ((0, 3), (3, 5), (5, 6)))]
+    for G in graphs:
+        L, M = edge_ideal_lattice(G), lcm_lattice(edge_ideal(G))
+        assert (L.below, L.above, L.meet, L.join, L.bottom, L.top, L.labels) == (
+            M.below, M.above, M.meet, M.join, M.bottom, M.top, M.labels
+        ), G.edges
+    assert edge_ideal_lattice(graphs[-1]).labels[-1].exps == (1, 0, 0, 1, 0, 1, 1)
+    with pytest.raises(NoEdges):
+        edge_ideal_lattice(Graph(3, ()))
 
 
 def test_complemented_criterion_families():

@@ -15,13 +15,13 @@ from lcmlat.homology import (
     SimplicialComplexData,
     SparseColumns,
     boundary_matrix,
-    complex_from_facets,
-    euler_characteristic,
     reduced_homology_ranks,
     sparse_rank,
 )
 from lcmlat.lattice import open_interval_order_complex
 from lcmlat.constructions import fano_lattice
+
+from complexes import complex_from_facets, euler_characteristic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

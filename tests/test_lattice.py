@@ -286,7 +286,8 @@ def test_meet_join_algebra(lattice_pool):
     for L in lattice_pool.values():
         if L.n > 64:
             continue
-        m, j = np.array(L.meet), np.array(L.join)
+        m = np.array([list(row) for row in L.meet])
+        j = np.array([list(row) for row in L.join])
         assert (m == m.T).all() and (j == j.T).all()
         # absorption: x ^ (x v y) == x == x v (x ^ y)
         idx = np.arange(L.n)[:, None]
@@ -485,5 +486,27 @@ def test_set_lattice_tables_on_eight_points(n):
     assert L.n == n and L.bottom == index[0] and L.top == index[255]
     assert L.below == tuple(_inclusion_down_sets(masks))
     for i, a in enumerate(masks):
-        assert L.meet[i] == tuple(index[a & b] for b in masks)
-        assert L.join[i] == tuple(index.get(a | b, index[255]) for b in masks)
+        assert tuple(L.meet[i]) == tuple(index[a & b] for b in masks)
+        assert tuple(L.join[i]) == tuple(index.get(a | b, index[255]) for b in masks)
+
+
+@pytest.mark.parametrize("k", [4, 8, 9])
+def test_table_rows_are_bytes_while_indices_fit_a_byte(k):
+    # B_k shuffled: lattice_of_sets fills B4 by byte lanes and hands B8 and
+    # B9 to from_below_masks; rows are bytes up to 256 elements, then tuples
+    import random
+
+    from lcmlat.lattice import FiniteLattice, lattice_of_sets
+
+    masks = list(range(1 << k))
+    random.Random(k).shuffle(masks)
+    index = {m: i for i, m in enumerate(masks)}
+    row_type = bytes if k <= 8 else tuple
+    for L in (
+        lattice_of_sets(masks),
+        FiniteLattice.from_below_masks(_inclusion_down_sets(masks)),
+    ):
+        for i, a in enumerate(masks):
+            assert type(L.meet[i]) is type(L.join[i]) is row_type
+            assert tuple(L.meet[i]) == tuple(index[a & b] for b in masks)
+            assert tuple(L.join[i]) == tuple(index[a | b] for b in masks)

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import lcmlat.taylor
 from lcmlat.fields import FieldSpec
-from lcmlat.homology import (
-    SparseColumns,
-    euler_characteristic,
-    reduced_homology_ranks,
-    sparse_rank,
-)
+from lcmlat.homology import SparseColumns, reduced_homology_ranks, sparse_rank
 from lcmlat.graphs import (
     complete,
     connected_graph_masks,
@@ -56,6 +51,8 @@ from lcmlat.lattice import (
 from lcmlat.resolutions import betti_table, lattice_betti_table
 from lcmlat.taylor import taylor_betti
 from lcmlat.verify import random_ideal
+
+from complexes import euler_characteristic
 
 
 def _law_modular(L):
