@@ -13,8 +13,8 @@ import re
 
 from .errors import FormatError, NotALattice, TooLarge
 from .graphs import Graph
-from .ideals import Monomial, MonomialIdeal, minimalize
-from .lattice import MAX_ELEMENTS, FiniteLattice, lattice_from_covers, validate_labels
+from .ideals import Monomial, MonomialIdeal, minimalize, validate_labels
+from .lattice import MAX_ELEMENTS, FiniteLattice, lattice_from_covers
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -146,9 +146,8 @@ def parse_lattice(text: str) -> FiniteLattice:
         covers = [(_int(a, "lattice"), _int(b, "lattice")) for a, b in obj["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad lattice JSON: {exc}") from None
-    labels = None
-    if "labels" in obj and obj["labels"] is not None:
-        labels = obj["labels"]
+    labels = obj.get("labels")
+    if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise FormatError("bad lattice JSON: labels must be a list of strings")
         labels = [parse_monomial_label(s) for s in labels]

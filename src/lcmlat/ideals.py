@@ -6,10 +6,11 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import EmptyGeneratorSet, NotAtomic, TooLarge, UnitGenerator
+from .errors import EmptyGeneratorSet, NotALattice, NotAtomic, TooLarge, UnitGenerator
 from .lattice import (
     MAX_ELEMENTS,
     FiniteLattice,
+    _subsets,
     atoms,
     find_isomorphism,
     is_atomic,
@@ -187,6 +188,25 @@ def _union_closure_lattice(masks, offsets) -> FiniteLattice:
     }
     elems = sorted(current, key=lambda m: (m.bit_count(), labels[m].exps))
     return lattice_of_sets(elems, [labels[m] for m in elems])
+
+
+def validate_labels(L: FiniteLattice) -> None:
+    """Check that monomial labels of one arity agree with the order: label
+    divisibility must mirror leq, and the label of a join must be the lcm of
+    the labels.  Raises NotALattice at the first failing pair in row order.
+    Each exponent is replaced by its rank within its variable, which keeps
+    divisibility and lcm and gives each variable fewer bits than labels."""
+    if L.labels is None:
+        return
+    ranks = [sorted(set(col)) for col in zip(*(m.exps for m in L.labels))]
+    ranked = [Monomial(tuple(map(list.index, ranks, m.exps))) for m in L.labels]
+    masks, offsets = _polarization(ranked)
+    inside = _subsets(masks, (1 << offsets[-1]) - 1)
+    for x, y in itertools.product(range(L.n), repeat=2):
+        if (inside[y] ^ L.below[y]) >> x & 1:
+            raise NotALattice(f"labels of {x} and {y} disagree with the order")
+        if masks[L.join[x][y]] != masks[x] | masks[y]:
+            raise NotALattice(f"label of join({x}, {y}) is not the lcm of the labels")
 
 
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -24,7 +24,7 @@ from itertools import compress, count, islice, repeat, zip_longest
 from operator import add, and_, eq, gt, lt, ne, not_, or_
 from typing import Sequence
 
-from .errors import CyclicCovers, NotALattice, NotBounded, NotComparable
+from .errors import BadParameter, CyclicCovers, NotALattice, NotBounded, NotComparable
 from .homology import SimplicialComplexData
 
 #: Hard cap on element count.  Above 256 elements the meet and join tables
@@ -116,7 +116,7 @@ class FiniteLattice:
 
     Build through :func:`lattice_from_covers`, :meth:`from_below_masks`, or
     the constructors in :mod:`lcmlat.ideals`, :mod:`lcmlat.graphs` and
-    :mod:`lcmlat.constructions`; the raw ``__init__`` trusts its arguments.
+    :mod:`lcmlat.constructions`; the raw ``__init__`` checks only the label count.
     """
 
     def __init__(self, below, above, meet, join, bottom, top, labels=None):
@@ -127,6 +127,8 @@ class FiniteLattice:
         self.join = join
         self.bottom = bottom
         self.top = top
+        if labels is not None and len(labels := tuple(labels)) != self.n:
+            raise BadParameter(f"{len(labels)} labels for {self.n} elements")
         self.labels = labels
 
     @staticmethod
@@ -155,7 +157,7 @@ class FiniteLattice:
         low_meet, low_join = _checked_tables(bottom, top, rows, None)
         return FiniteLattice(
             tuple(below), tuple(above), _symmetric(low_meet), _symmetric(low_join),
-            bottom, top, tuple(labels) if labels is not None else None,
+            bottom, top, labels,
         )
 
     # -- basic queries ----------------------------------------------------
@@ -426,26 +428,24 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     meet, join = _checked_tables(bottom, top, zip(down, up), _NO_MEMBER)
     return FiniteLattice(
         tuple(below), tuple(above), tuple(meet), tuple(join),
-        bottom, top, tuple(labels) if labels is not None else None,
+        bottom, top, labels,
     )
 
 
 def _subsets(masks, universe: int) -> list:
     """Inclusion down-sets of the sets in masks, all inside universe: bit i
-    of entry j is set when masks[i] lacks every point of universe that
-    masks[j] lacks, an AND over those points of the members lacking it."""
-    lacking = {
-        b: sum(1 << i for i, m in enumerate(masks) if not (m >> b) & 1)
-        for b in _bits(universe)
-    }
+    of entry j is set when masks[i] is inside masks[j].  Refining universe
+    by each member gives blocks of points held by the same members; entry j
+    is the AND, over the blocks masks[j] lacks, of the members lacking it."""
+    blocks = [(universe, 0)]
+    for i, m in enumerate(masks):
+        split = (((b & m, held | 1 << i), (b & ~m, held)) for b, held in blocks)
+        blocks = [p for pair in split for p in pair if p[0]]
     full = (1 << len(masks)) - 1
-    below = []
-    for m in masks:
-        down = full
-        for b in _bits(universe & ~m):
-            down &= lacking[b]
-        below.append(down)
-    return below
+    return [
+        reduce(and_, [full ^ held for _, held in blocks if not held >> j & 1], full)
+        for j in range(len(masks))
+    ]
 
 
 def _byte_lanes(masks, k: int, s: int) -> tuple:
@@ -679,25 +679,6 @@ def property_report(L: FiniteLattice) -> PropertyReport:
     return PropertyReport(
         (name, PropertyVerdict(*v)) for name, v in entries.items()
     )
-
-
-def validate_labels(L: FiniteLattice) -> None:
-    """Check that monomial labels are compatible with the order: label
-    divisibility must mirror leq, and the label of a join must be the lcm of
-    the labels.  Raises NotALattice otherwise."""
-    if L.labels is None:
-        return
-    labs = L.labels
-    for x in range(L.n):
-        for y in range(L.n):
-            if L.leq(x, y) != labs[x].divides(labs[y]):
-                raise NotALattice(
-                    f"labels of {x} and {y} disagree with the order"
-                )
-            if labs[L.join[x][y]] != labs[x].lcm(labs[y]):
-                raise NotALattice(
-                    f"label of join({x}, {y}) is not the lcm of the labels"
-                )
 
 
 # -- Moebius function ---------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import time
 import tracemalloc
 import types
 
@@ -21,7 +22,7 @@ from lcmlat.formats import (
     render_ideal_text,
 )
 from lcmlat.constructions import fano_lattice
-from lcmlat.graphs import graph_fixture
+from lcmlat.graphs import cycle, edge_ideal_lattice, graph_fixture
 from lcmlat.ideals import Monomial, minimalize
 
 
@@ -452,6 +453,27 @@ def test_variable_index_at_the_cap_is_accepted(capsys, monkeypatch):
 def test_exponent_at_the_cap_is_accepted(capsys, monkeypatch):
     code, out, _ = run(capsys, ["ideal", "height", "-"], "x1^8192\n", monkeypatch)
     assert (code, out) == (0, "1\n")
+
+
+def test_wide_exponents_keep_the_lattice_build_short(capsys, monkeypatch):
+    # 9,901 bytes whose polarization masks have a million bits: four
+    # elements, which a down-set loop over every bit took minutes to order
+    text = "*".join(f"x{i}^1000" for i in range(1, 1001)) + "\nx1^1001\n"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["ideal", "pd", "-"], text, monkeypatch)
+    assert (code, out) == (0, "2\n")
+    assert time.perf_counter() - start < 10
+
+
+def test_labeled_c12_lattice_roundtrips_quickly():
+    # 853 labeled elements: the labels are checked on polarization masks,
+    # not pair by pair on the monomials
+    L = edge_ideal_lattice(cycle(12))
+    text = dumps_json(lattice_to_json(L))
+    start = time.perf_counter()
+    again = parse_lattice(text)
+    assert time.perf_counter() - start < 2
+    assert (again.n, again.labels, again.below) == (853, L.labels, L.below)
 
 
 def test_lattice_json_label_validation():

@@ -7,7 +7,13 @@ from functools import reduce
 
 import pytest
 
-from lcmlat.errors import EmptyGeneratorSet, NotAtomic, TooLarge, UnitGenerator
+from lcmlat.errors import (
+    EmptyGeneratorSet,
+    NotALattice,
+    NotAtomic,
+    TooLarge,
+    UnitGenerator,
+)
 from lcmlat.ideals import (
     Monomial,
     MonomialIdeal,
@@ -18,6 +24,7 @@ from lcmlat.ideals import (
     minimalize,
     phan_ideal,
     polarize,
+    validate_labels,
 )
 from lcmlat.constructions import (
     fano_lattice,
@@ -257,3 +264,72 @@ def test_permutation_equality():
     # one variable per search level, past the default recursion limit
     big = MonomialIdeal(1200, (Monomial((1,) * 1200),))
     assert ideals_permutation_equal(big, big)
+
+
+def _pairwise_label_check(L):
+    """The message of the first pair (x, y), in row order, whose labels
+    disagree with leq or whose join label is not the lcm, checked pair by
+    pair on the monomials; None when every pair agrees."""
+    labs = L.labels
+    for x in range(L.n):
+        for y in range(L.n):
+            if L.leq(x, y) != labs[x].divides(labs[y]):
+                return f"labels of {x} and {y} disagree with the order"
+            if labs[L.join[x][y]] != labs[x].lcm(labs[y]):
+                return f"label of join({x}, {y}) is not the lcm of the labels"
+    return None
+
+
+def _label_check(L):
+    try:
+        validate_labels(L)
+    except NotALattice as exc:
+        return str(exc)
+    return None
+
+
+def test_label_check_matches_the_pairwise_definition(lattice_pool):
+    from lcmlat.lattice import FiniteLattice
+    from lcmlat.verify import random_ideal
+
+    rng = random.Random(41)
+    labeled = [L for L in lattice_pool.values() if L.labels is not None]
+    labeled += [lcm_lattice(random_ideal(rng, 5, 5, 3)) for _ in range(80)]
+    labeled = [L for L in labeled if L.n > 1]
+    for L in labeled:
+        assert _label_check(L) is None
+    mislabeled, kinds = 0, set()
+    while mislabeled < 1000:
+        L = rng.choice(labeled)
+        labs = list(L.labels)
+        i, j = rng.sample(range(L.n), 2)
+        if rng.random() < 0.5:
+            labs[i], labs[j] = labs[j], labs[i]
+        else:
+            exps = list(labs[i].exps)
+            v = rng.randrange(len(exps))
+            exps[v] = max(0, exps[v] + rng.choice((-2, -1, 1, 2)))
+            labs[i] = Monomial(tuple(exps))
+        M = FiniteLattice(L.below, L.above, L.meet, L.join, L.bottom, L.top, labs)
+        expected = _pairwise_label_check(M)
+        assert _label_check(M) == expected, (L.labels, labs)
+        mislabeled += expected is not None
+        kinds.add(expected and expected.split()[0])
+    # both messages, and perturbations that leave the labels valid
+    assert kinds == {"labels", "label", None}
+
+
+def test_label_check_keeps_wide_exponents_narrow():
+    # a chain labeled x1^8192, ..., x300^8192 fails at its first pair; as
+    # plain polarization masks its labels would take 46 MB
+    chain = lattice_from_covers(300, [(i, i + 1) for i in range(299)], [
+        Monomial((0,) * k + (8192,) + (0,) * (299 - k)) for k in range(300)
+    ])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotALattice, match="labels of 0 and 1 disagree"):
+            validate_labels(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

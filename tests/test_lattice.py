@@ -510,3 +510,52 @@ def test_table_rows_are_bytes_while_indices_fit_a_byte(k):
             assert type(L.meet[i]) is type(L.join[i]) is row_type
             assert tuple(L.meet[i]) == tuple(index[a & b] for b in masks)
             assert tuple(L.join[i]) == tuple(index[a | b] for b in masks)
+
+
+def test_subsets_match_the_inclusion_definition():
+    # bit i of entry j is set exactly when masks[i] is inside masks[j]: on
+    # seeded families with repeats, the empty set and a single member, on
+    # any universe holding them, and on the million-bit polarization masks
+    # of x1^1000*...*x1000^1000 and x1^1001
+    import random
+
+    from lcmlat.ideals import Monomial, _polarization
+    from lcmlat.lattice import _subsets
+
+    rng = random.Random(31)
+    families = [[], [0], [5], [0, 0], [6, 6, 7, 0]]
+    for k in range(1, 13):
+        for _ in range(20):
+            masks = [rng.randrange(1 << k) for _ in range(rng.randint(1, 30))]
+            masks += rng.choices(masks, k=rng.randint(0, 5)) + [0] * rng.randint(0, 1)
+            rng.shuffle(masks)
+            families.append(masks)
+    wide, _ = _polarization([Monomial((1000,) * 1000), Monomial((1001,) + (0,) * 999)])
+    assert wide[0].bit_length() > 10**6
+    families.append([wide[0] | wide[1], *wide, 0, wide[1]])
+    for f, masks in enumerate(families):
+        universe = reduce(or_, masks, 0)
+        expected = _inclusion_down_sets(masks)
+        for u in (universe, (2 << universe.bit_length()) - 1):
+            assert _subsets(masks, u) == expected, f
+
+
+def test_labels_of_the_wrong_length_are_refused():
+    # three labels on B2 once gave pd 2, an IndexError from the Betti table,
+    # and a lattice JSON file that parse_lattice rejected
+    from lcmlat.errors import BadParameter
+    from lcmlat.ideals import Monomial
+    from lcmlat.lattice import FiniteLattice, lattice_of_sets
+
+    labels = [Monomial((0, 0)), Monomial((1, 0)), Monomial((0, 1))]
+    builds = [
+        lambda: lattice_from_covers(4, B2_COVERS, labels),
+        lambda: FiniteLattice.from_below_masks(b2().below, labels),
+        lambda: lattice_of_sets([0, 1, 2, 3], labels),  # by byte lanes
+        lambda: lattice_of_sets([0, 255], labels),  # by from_below_masks
+        lambda: lattice_of_sets([0, 255], labels[:1]),
+    ]
+    for build in builds:
+        with pytest.raises(BadParameter, match="labels for"):
+            build()
+    assert lattice_of_sets([0, 1, 2, 3], [*labels, Monomial((1, 1))]).n == 4
