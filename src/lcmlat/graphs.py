@@ -257,9 +257,12 @@ def complemented_via_independent_sets(G: Graph) -> bool:
 
 def linearly_presented(L: FiniteLattice) -> bool:
     """First syzygies concentrated in degree 3: for every lattice element of
-    degree at least 4, the open interval below it is connected."""
-    for m in range(L.n):
-        if m != L.bottom and L.labels[m].degree >= 4:
+    degree at least 4, the open interval below it is connected.  L is an
+    LCM lattice whose ``sets`` are polarization masks, as
+    ``edge_ideal_lattice`` and ``lcm_lattice`` build it: the degree of an
+    element is the popcount of its mask."""
+    for m, mask in enumerate(L.sets):
+        if m != L.bottom and mask.bit_count() >= 4:
             if not open_interval_is_connected(L, L.bottom, m):
                 return False
     return True
@@ -324,8 +327,8 @@ def check_graph_theorems(G: Graph):
     rank_ok = True
     if graded_ok:
         ranks = L.chain_ranks
-        for i in range(L.n):
-            if i != L.bottom and ranks[i] != L.labels[i].degree - 1:
+        for i, mask in enumerate(L.sets):
+            if i != L.bottom and ranks[i] != mask.bit_count() - 1:
                 rank_ok = False
                 violations.append(
                     {"property": "rank_formula", "element": i, "rank": ranks[i]}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyGeneratorSet, NotALattice, NotAtomic, TooLarge, UnitGenerator
 from .lattice import (
@@ -157,7 +158,9 @@ def _polarization(gens):
 def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     """LCM lattice: lcms of generator subsets ordered by divisibility, with
     monomial labels; the empty subset contributes 1 as the bottom.  Elements
-    are ordered by (degree, exponent vector)."""
+    are ordered by (degree, exponent vector).  The labels are decoded from
+    the polarization masks, kept as ``L.sets``, the first time ``L.labels``
+    is read."""
     return _union_closure_lattice(*_polarization(ideal.gens))
 
 
@@ -165,7 +168,7 @@ def _union_closure_lattice(masks, offsets) -> FiniteLattice:
     """The LCM lattice of the monomials with these polarization bitmasks,
     where variable v owns the bits from offsets[v] to offsets[v + 1]: the
     closure of masks and the empty mask under ``|``, labelled by popcount
-    per block and in lcm_lattice's element order."""
+    per block on first read, and in lcm_lattice's element order."""
     current = {0, *masks}
     frontier = masks
     while frontier:
@@ -181,13 +184,21 @@ def _union_closure_lattice(masks, offsets) -> FiniteLattice:
                     current.add(u)
                     new.append(u)
         frontier = new
+    # every block is a thermometer code, so the degree is the popcount, and
+    # the exponent vectors compare as the masks with their bits reversed
+    spelled = f"0{offsets[-1]}b"
+    elems = sorted(current, key=lambda m: format(m, spelled)[::-1])
+    elems.sort(key=int.bit_count)
+    return lattice_of_sets(elems, partial(_labels, elems, offsets))
+
+
+def _labels(masks, offsets) -> tuple:
+    """The monomials of these polarization masks: popcount per block."""
     blocks = [(lo, (1 << (hi - lo)) - 1) for lo, hi in zip(offsets, offsets[1:])]
-    labels = {
-        m: Monomial(tuple(((m >> lo) & ones).bit_count() for lo, ones in blocks))
-        for m in current
-    }
-    elems = sorted(current, key=lambda m: (m.bit_count(), labels[m].exps))
-    return lattice_of_sets(elems, [labels[m] for m in elems])
+    return tuple(
+        Monomial(tuple(((m >> lo) & ones).bit_count() for lo, ones in blocks))
+        for m in masks
+    )
 
 
 def validate_labels(L: FiniteLattice) -> None:

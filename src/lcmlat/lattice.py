@@ -5,8 +5,13 @@ set exactly when ``i <= j``, and ``above`` is its transpose.  Element ids
 are the caller's and need not follow the order.  The meet of a pair is the
 element whose down-set is the intersection of theirs, the join likewise on
 up-sets.  Meet and join tables are tuples of rows, ``L.meet[x][y]``: rows
-are ``bytes`` when every index fits a byte (n ≤ 256), else tuples.  The
-property checks loop over those rows and the bitsets, in plain Python.
+are ``bytes`` when every index fits a byte (n ≤ 256), else tuples.  On
+byte rows the property checks read whole tables at once: the rank identities
+of modularity and semimodularity, and the modular elements, compare
+``bytes.translate``d rank tables as 16-bit lanes of one integer, and the
+complements are the lanes where the meet is the bottom and the join the top.
+Gradedness reads one bitmask per rank.  On tuple rows the checks loop over
+rows and bitsets in plain Python.
 
 The tables are filled on one of two paths, after the same order-axiom scan
 and with the same checks and messages.  ``from_below_masks`` looks each pair
@@ -117,7 +122,16 @@ class FiniteLattice:
     Build through :func:`lattice_from_covers`, :meth:`from_below_masks`, or
     the constructors in :mod:`lcmlat.ideals`, :mod:`lcmlat.graphs` and
     :mod:`lcmlat.constructions`; the raw ``__init__`` checks only the label count.
+
+    ``labels`` is None, one label per element, or a function of no
+    arguments that returns them: ``lcm_lattice`` passes one, so its
+    ``Monomial`` labels are decoded the first time ``L.labels`` is read, and
+    ``has_labels`` tells whether there are labels without decoding them.
+    ``lattice_of_sets`` keeps its sets as ``L.sets``; other lattices have
+    ``sets = None``.
     """
+
+    sets = None
 
     def __init__(self, below, above, meet, join, bottom, top, labels=None):
         self.n = len(below)
@@ -127,9 +141,20 @@ class FiniteLattice:
         self.join = join
         self.bottom = bottom
         self.top = top
-        if labels is not None and len(labels := tuple(labels)) != self.n:
-            raise BadParameter(f"{len(labels)} labels for {self.n} elements")
-        self.labels = labels
+        if not (labels is None or callable(labels)):
+            if len(labels := tuple(labels)) != self.n:
+                raise BadParameter(f"{len(labels)} labels for {self.n} elements")
+            self.labels = labels
+        self._labels = labels
+
+    @property
+    def has_labels(self) -> bool:
+        return self._labels is not None
+
+    @cached_property
+    def labels(self):
+        # only reached when no sequence of labels was given
+        return None if self._labels is None else self._labels()
 
     @staticmethod
     def from_below_masks(below: Sequence[int], labels=None) -> "FiniteLattice":
@@ -222,21 +247,35 @@ class FiniteLattice:
 
     @cached_property
     def graded(self) -> tuple:
-        """``is_graded``'s verdict and witness."""
+        """``is_graded``'s verdict and witness: the first cover (i, j), in
+        ``cover_pairs`` order, that does not go up exactly one rank, read
+        off one bitmask of the elements of each rank."""
         ranks = self.chain_ranks
-        for i, j in self.cover_pairs:
-            if ranks[j] != ranks[i] + 1:
-                return False, (i, j)
+        at_rank = [0] * (max(ranks) + 2)
+        for i, r in enumerate(ranks):
+            at_rank[r] |= 1 << i
+        for i, (up, r) in enumerate(zip(self.upper_cover_masks, ranks)):
+            if skips := up & ~at_rank[r + 1]:
+                return False, (i, (skips & -skips).bit_length() - 1)
         return True, None
 
     @cached_property
     def complement_masks(self) -> tuple:
-        """complement_masks[x] = bitmask of the complements of x.  y meets x
-        in the bottom exactly when no atom lies below both, and joins x to
-        the top exactly when no coatom lies above both."""
+        """complement_masks[x] = bitmask of the complements of x, the y with
+        x ^ y the bottom and x v y the top.  On byte rows both flattened
+        tables go through ``bytes.translate`` to the digit "1" at the bottom
+        (top) and "0" elsewhere; their AND, row by row and read backwards, is
+        the bitmask in binary.  On tuple rows, y meets x in the bottom
+        exactly when no atom lies below both, and joins x to the top exactly
+        when no coatom lies above both."""
+        n = self.n
+        if isinstance(self.meet[0], bytes):
+            both = _digits_at(self.meet, self.bottom) & _digits_at(self.join, self.top)
+            digits = both.to_bytes(n * n, "big")
+            return tuple(int(digits[i : i + n][::-1], 2) for i in range(0, n * n, n))
         atom_mask = self.upper_cover_masks[self.bottom]
         coatom_mask = self.lower_cover_masks[self.top]
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         out = []
         for b, a in zip(self.below, self.above):
             shares = 0
@@ -246,6 +285,39 @@ class FiniteLattice:
                 shares |= self.below[g]
             out.append(full & ~shares)
         return tuple(out)
+
+    @cached_property
+    def rank_lanes(self) -> tuple:
+        """For a graded lattice with byte rows: the first pair (x, y), in
+        row order, with rk(x) + rk(y) below rk(x ^ y) + rk(x v y), the
+        first with it above (each None if there is none), and the bitmask
+        of the modular elements, the rows where the two sides agree.
+
+        Each side is one integer of 16-bit lanes, lane x*n + y for the pair
+        (x, y): the flattened tables go through ``bytes.translate`` to
+        ranks.  A guard bit on top of each lane of one side keeps the
+        subtraction of the other inside the lane, and stays set exactly
+        where the first side is not below the second.  The identity is
+        symmetric, so the first bad lane has y >= x."""
+        n, nn = self.n, self.n * self.n
+        ranks = bytes(self.chain_ranks)
+        rank_of = ranks.ljust(256, b"\0")
+        sums = _lanes(b"".join(self.meet).translate(rank_of))
+        sums += _lanes(b"".join(self.join).translate(rank_of))
+        pairs = _lanes(ranks * n) + _lanes(b"".join([bytes((r,)) * n for r in ranks]))
+        guards = int.from_bytes(b"\0\x80" * nn, "little")
+        under = guards & ~((pairs | guards) - sums)  # lanes with pairs < sums
+        over = guards & ~((sums | guards) - pairs)  # lanes with pairs > sums
+        witnesses = []
+        for bad in (under, over):
+            lane = (bad & -bad).bit_length() // 16 - 1
+            witnesses.append(divmod(lane, n) if bad else None)
+        rows = (under | over).to_bytes(2 * nn, "little")
+        zero = bytes(2 * n)
+        modular = sum(
+            1 << x for x in range(n) if rows[2 * n * x : 2 * n * (x + 1)] == zero
+        )
+        return (*witnesses, modular)
 
     @cached_property
     def join_irreducible_mask(self) -> int:
@@ -280,6 +352,21 @@ class FiniteLattice:
         if not self.meet_irreducible_mask & ~coatom_mask:
             return (1 << self.n) - 1
         return _generated(coatom_mask, self.top, self.meet, self.above)
+
+
+def _digits_at(rows, v: int) -> int:
+    """The byte rows, flattened, with the digit "1" where the entry is v
+    and "0" elsewhere, as one big-endian integer."""
+    digits = bytearray(b"0" * 256)
+    digits[v] = ord("1")
+    return int.from_bytes(b"".join(rows).translate(digits), "big")
+
+
+def _lanes(values: bytes) -> int:
+    """The bytes as one integer of 16-bit lanes, lane i holding values[i]."""
+    wide = bytearray(2 * len(values))
+    wide[::2] = values
+    return int.from_bytes(wide, "little")
 
 
 def _single_cover_mask(covers) -> int:
@@ -385,8 +472,9 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     """Distinct sets, given as bitmasks, ordered by inclusion.  Element i is
-    masks[i], so the caller's order is kept.  The checks, their order and
-    their messages are those of ``from_below_masks``.
+    masks[i], kept as ``L.sets``, so the caller's order is kept.  The
+    checks, their order and their messages are those of
+    ``from_below_masks``.
 
     Complementing every set within the universe U (the union of the sets)
     reverses inclusion.  So the up-sets of the family are the down-sets of
@@ -404,9 +492,11 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     down-set is that entry, when there is one; as a 256-byte
     ``bytes.translate`` table, it turns row i, the masks packed one per
     byte and ANDed with n copies of masks[i], into row i of the meet table.
-    The complements give the up-sets and the join table the same way.  A
-    mask must fit a byte, so k ≤ 8.  An index must be a byte other than the
-    marker 255, so n ≤ 254; the only families of 255 or more sets on 8
+    The complements give the up-sets and the join table the same way.  The
+    rows are accepted when neither flattened table holds the marker 255;
+    otherwise ``_checked_tables`` runs on them only to name the first
+    missing pair.  A mask must fit a byte, so k ≤ 8.  An index must be a
+    byte other than the marker 255, so n ≤ 254; the only families of 255 or more sets on 8
     points are B8 and B8 less one set, which the dict path builds.  Every
     other family is built by ``from_below_masks``, one dict lookup per
     pair.  On union-closed families, k = 3..8 (Python 3.11, 2-core x86),
@@ -420,16 +510,18 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     universe = reduce(or_, masks, 0)
     n, k = len(masks), universe.bit_length()
     if not (k <= 8 and n < _NO_MEMBER and 1 << k <= n * n):
-        return FiniteLattice.from_below_masks(_subsets(masks, universe), labels)
-    complements = [universe ^ m for m in masks]
-    below, down, bottom = _byte_lanes(masks, k, reduce(and_, masks))
-    above, up, top = _byte_lanes(complements, k, 0)
-    _check_order(below)
-    meet, join = _checked_tables(bottom, top, zip(down, up), _NO_MEMBER)
-    return FiniteLattice(
-        tuple(below), tuple(above), tuple(meet), tuple(join),
-        bottom, top, labels,
-    )
+        L = FiniteLattice.from_below_masks(_subsets(masks, universe), labels)
+    else:
+        complements = [universe ^ m for m in masks]
+        below, down, bottom = _byte_lanes(masks, k, reduce(and_, masks))
+        above, up, top = _byte_lanes(complements, k, 0)
+        _check_order(below)
+        meet, join = tuple(down), tuple(up)
+        if _NO_MEMBER in (bottom, top) or _NO_MEMBER in b"".join(meet + join):
+            _checked_tables(bottom, top, zip(meet, join), _NO_MEMBER)  # raises
+        L = FiniteLattice(tuple(below), tuple(above), meet, join, bottom, top, labels)
+    L.sets = tuple(masks)
+    return L
 
 
 def _subsets(masks, universe: int) -> list:
@@ -536,9 +628,14 @@ def is_coatomic(L: FiniteLattice):
 def _rank_identity(L: FiniteLattice, bad_when):
     """Compares rk(x) + rk(y) with rk(x ^ y) + rk(x v y) over all pairs; the
     witness of False is the first pair, in row order, where ``bad_when``
-    holds."""
+    (lt, gt or ne) holds.  Byte rows read it off ``L.rank_lanes``."""
     if not L.graded[0]:
         return False, "not graded"
+    if isinstance(L.meet[0], bytes):
+        under, over, _ = L.rank_lanes
+        found = {lt: [under], gt: [over], ne: [under, over]}[bad_when]
+        pair = min(filter(None, found), default=None)
+        return (True, None) if pair is None else (False, pair)
     rk = L.chain_ranks
     rank = rk.__getitem__
     for x, (mx, jx) in enumerate(zip(L.meet, L.join)):
@@ -627,6 +724,17 @@ def is_geometric(L: FiniteLattice):
     return is_upper_semimodular(L) if atomic[0] else atomic
 
 
+def _is_modular_element(L: FiniteLattice, m: int) -> bool:
+    """Whether rk(x) + rk(m) == rk(x ^ m) + rk(x v m) for every x, in a
+    graded lattice; byte rows read it off ``L.rank_lanes``."""
+    if isinstance(L.meet[0], bytes):
+        return bool(L.rank_lanes[2] >> m & 1)
+    rk = L.chain_ranks
+    rank = rk.__getitem__
+    sums = map(add, map(rank, L.meet[m]), map(rank, L.join[m]))
+    return all(map(eq, map(rk[m].__add__, rk), sums))
+
+
 def is_supersolvable(L: FiniteLattice):
     """Searches for a maximal chain of modular elements, m with
     rk(x) + rk(m) == rk(x ^ m) + rk(x v m) for every x; the witness of a
@@ -634,8 +742,6 @@ def is_supersolvable(L: FiniteLattice):
     tested, each once; the bottom is always modular."""
     if not L.graded[0]:
         return False, "not graded"
-    rk = L.chain_ranks
-    rank = rk.__getitem__
     stack = [L.bottom]
     parent = {L.bottom: None}
     seen = 1 << L.bottom
@@ -649,8 +755,7 @@ def is_supersolvable(L: FiniteLattice):
             return True, tuple(reversed(chain))
         for w in _bits(L.upper_cover_masks[v] & ~seen):
             seen |= 1 << w
-            sums = map(add, map(rank, L.meet[w]), map(rank, L.join[w]))
-            if all(map(eq, map(rk[w].__add__, rk), sums)):
+            if _is_modular_element(L, w):
                 parent[w] = v
                 stack.append(w)
     return False, None

@@ -120,7 +120,7 @@ def _vanishing_bounds(L: FiniteLattice) -> list:
 def _pd_visit(L: FiniteLattice, field: FieldSpec | None):
     """(pd, ranks of the top interval) by the visit of :func:`lattice_pd`;
     the ranks are None when the visit stopped before the top."""
-    if L.labels is None:
+    if not L.has_labels:
         raise ValueError("lattice must carry monomial labels")
     bounds = _vanishing_bounds(L)
     pd, top = 0, None

@@ -167,10 +167,24 @@ def test_polarize_preserves_lattice_with_high_powers():
     assert is_isomorphic(lcm_lattice(I), lcm_lattice(polarize(I)))
 
 
+def _assert_subset_lcm_order(I):
+    """Labels in (degree, exponent vector) order and divisibility down-sets,
+    against every subset lcm taken with Monomial.lcm."""
+    lcms = {
+        reduce(Monomial.lcm, sub, Monomial((0,) * I.nvars))
+        for k in range(I.ngens + 1)
+        for sub in itertools.combinations(I.gens, k)
+    }
+    expected = sorted(lcms, key=lambda m: (m.degree, m.exps))
+    L = lcm_lattice(I)
+    assert list(L.labels) == expected, str(I)
+    for j, b in enumerate(expected):
+        down = sum(1 << i for i, a in enumerate(expected) if a.divides(b))
+        assert L.below[j] == down, (str(I), j)
+
+
 def test_lcm_lattice_matches_brute_force_subset_lcms():
-    """Labels in (degree, exponent vector) order and divisibility down-sets
-    of non-squarefree ideals, against every subset lcm taken with
-    Monomial.lcm."""
+    """Non-squarefree ideals on 1-4 variables, exponents 0-4."""
     rng = random.Random(5)
     checked = 0
     while checked < 300:
@@ -185,17 +199,33 @@ def test_lcm_lattice_matches_brute_force_subset_lcms():
         I = minimalize(monos, nvars)
         if I.is_squarefree:
             continue
-        lcms = {
-            reduce(Monomial.lcm, sub, Monomial((0,) * nvars))
-            for k in range(I.ngens + 1)
-            for sub in itertools.combinations(I.gens, k)
-        }
-        expected = sorted(lcms, key=lambda m: (m.degree, m.exps))
-        L = lcm_lattice(I)
-        assert list(L.labels) == expected, str(I)
-        for j, b in enumerate(expected):
-            down = sum(1 << i for i, a in enumerate(expected) if a.divides(b))
-            assert L.below[j] == down, (str(I), j)
+        _assert_subset_lcm_order(I)
+        checked += 1
+
+
+@pytest.mark.parametrize("top_exponent", [1, 4])
+def test_lcm_lattice_order_with_idle_variables(top_exponent):
+    """Squarefree ideals (exponents 0-1) and non-squarefree ones (0-4), on
+    2-6 variables of which at least one divides no generator: its
+    polarization block has width 0."""
+    rng = random.Random(11 + top_exponent)
+    checked = 0
+    while checked < 200:
+        nvars = rng.randint(2, 6)
+        idle = set(rng.sample(range(nvars), rng.randint(1, nvars - 1)))
+        monos = [
+            Monomial(tuple(
+                0 if v in idle else rng.randint(0, top_exponent) for v in range(nvars)
+            ))
+            for _ in range(rng.randint(1, 6))
+        ]
+        monos = [m for m in monos if not m.is_unit]
+        if not monos:
+            continue
+        I = minimalize(monos, nvars)
+        if I.is_squarefree != (top_exponent == 1):
+            continue
+        _assert_subset_lcm_order(I)
         checked += 1
 
 

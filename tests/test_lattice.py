@@ -398,6 +398,102 @@ def test_false_witnesses_violate_definitions_exactly(lattice_pool):
             )
 
 
+def _scan_graded(L):
+    """The first cover pair, in ``cover_pairs`` order, where the rank skips."""
+    rk = L.chain_ranks
+    for i, j in L.cover_pairs:
+        if rk[j] != rk[i] + 1:
+            return False, (i, j)
+    return True, None
+
+
+def _scan_rank_identity(L, bad_when):
+    """The pairwise scan: the first pair (x, y), row by row and y >= x,
+    where bad_when(rk x + rk y, rk(x ^ y) + rk(x v y)) holds."""
+    if not is_graded(L)[0]:
+        return False, "not graded"
+    rk = L.chain_ranks
+    for x in range(L.n):
+        for y in range(x, L.n):
+            if bad_when(rk[x] + rk[y], rk[L.meet[x][y]] + rk[L.join[x][y]]):
+                return False, (x, y)
+    return True, None
+
+
+def _scan_supersolvable(L):
+    """is_supersolvable's search, each reached element tested by its row."""
+    if not is_graded(L)[0]:
+        return False, "not graded"
+    rk = L.chain_ranks
+    stack, parent, seen = [L.bottom], {L.bottom: None}, 1 << L.bottom
+    while stack:
+        v = stack.pop()
+        if v == L.top:
+            chain = []
+            while v is not None:
+                chain.append(v)
+                v = parent[v]
+            return True, tuple(reversed(chain))
+        for w in range(L.n):
+            if L.upper_cover_masks[v] >> w & 1 and not seen >> w & 1:
+                seen |= 1 << w
+                if all(
+                    rk[w] + rk[x] == rk[L.meet[w][x]] + rk[L.join[w][x]]
+                    for x in range(L.n)
+                ):
+                    parent[w] = v
+                    stack.append(w)
+    return False, None
+
+
+def _atom_loop_complements(L):
+    """y is a complement of x when no atom is below both and no coatom
+    above both."""
+    out = []
+    for x in range(L.n):
+        shares = 0
+        for a in atoms(L):
+            if L.leq(a, x):
+                shares |= L.above[a]
+        for c in coatoms(L):
+            if L.leq(x, c):
+                shares |= L.below[c]
+        out.append(((1 << L.n) - 1) & ~shares)
+    return tuple(out)
+
+
+def test_rank_and_complement_witnesses_match_the_scans(lattice_pool, relabelled_pool):
+    """Verdicts and witnesses, the first bad cover or pair in row order
+    included, as the pairwise scans give them, on byte rows and on tuple
+    rows (L(K9))."""
+    from operator import gt, lt, ne
+
+    from lcmlat.graphs import complete, connected_graph_masks, graph_from_mask
+    from lcmlat.lattice import is_modular, is_supersolvable
+
+    lattices = [
+        *lattice_pool.values(),
+        *relabelled_pool.values(),
+        *(
+            edge_ideal_lattice(graph_from_mask(n, m))
+            for n in range(2, 6)
+            for m in connected_graph_masks(n)
+        ),
+        lattice_from_covers(1, []),
+        lattice_from_covers(2, [(0, 1)]),
+    ]
+    K9 = edge_ideal_lattice(complete(9))
+    assert (K9.n, type(K9.meet[0])) == (503, tuple)
+    assert is_graded(K9)[0] and not is_upper_semimodular(K9)[0]
+    for L in [*lattices, K9]:
+        assert is_graded(L) == _scan_graded(L)
+        assert is_modular(L) == _scan_rank_identity(L, ne)
+        assert is_upper_semimodular(L) == _scan_rank_identity(L, lt)
+        assert is_lower_semimodular(L) == _scan_rank_identity(L, gt)
+        assert is_supersolvable(L) == _scan_supersolvable(L)
+        assert L.complement_masks == _atom_loop_complements(L)
+
+
 def _inclusion_down_sets(masks):
     """below[i] of the inclusion order on masks, pair by pair."""
     return [sum(1 << j for j, a in enumerate(masks) if a & ~b == 0) for b in masks]

@@ -217,6 +217,15 @@ def test_lattice_pd_equals_the_table_pd(pd_lattices, char):
         lattice_pd(lattice_from_covers(2, [(0, 1)]))
 
 
+def test_lattice_pd_leaves_the_labels_undecoded():
+    I = minimalize([Monomial((2, 1, 0)), Monomial((0, 1, 3)), Monomial((1, 0, 1))])
+    L = lcm_lattice(I)
+    pd = lattice_pd(L)
+    assert "labels" not in vars(L) and L.has_labels
+    assert pd == lattice_betti_table(L).pd
+    assert L.labels[L.top] == I.lcm_of_all()
+
+
 def test_betti_entries_vanish_above_the_bound(pd_lattices):
     # beta_{i,m} = 0 for i > min(atoms of [0, m], lower covers of m, rank m)
     for L in pd_lattices:
