@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import EmptyGeneratorSet, NotALattice, NotAtomic, TooLarge, UnitGenerator
@@ -81,11 +81,14 @@ class MonomialIdeal:
     """A monomial ideal stored by its minimal generators.
 
     The constructor insists on an already-minimal generator list; use
-    :func:`minimalize` to build from an arbitrary monomial collection.
+    :func:`minimalize` to build from an arbitrary monomial collection.  The
+    polarization masks and offsets its minimality check computes are kept
+    for ``lcm_lattice`` and ``polarize``, outside eq, hash and repr.
     """
 
     nvars: int
     gens: tuple
+    _polarized: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gens:
@@ -95,10 +98,11 @@ class MonomialIdeal:
                 raise ValueError("generator arity mismatch")
             if g.is_unit:
                 raise UnitGenerator("1 is not allowed as a generator")
-        masks, _ = _polarization(self.gens)
+        masks, offsets = _polarization(self.gens)
         for (a, ma), (b, mb) in itertools.permutations(zip(self.gens, masks), 2):
             if not ma & ~mb:
                 raise ValueError(f"generators not minimal: {a} divides {b}")
+        object.__setattr__(self, "_polarized", (tuple(masks), tuple(offsets)))
 
     @property
     def ngens(self) -> int:
@@ -161,7 +165,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> FiniteLattice:
     are ordered by (degree, exponent vector).  The labels are decoded from
     the polarization masks, kept as ``L.sets``, the first time ``L.labels``
     is read."""
-    return _union_closure_lattice(*_polarization(ideal.gens))
+    return _union_closure_lattice(*ideal._polarized)
 
 
 def _union_closure_lattice(masks, offsets) -> FiniteLattice:
@@ -223,7 +227,7 @@ def validate_labels(L: FiniteLattice) -> None:
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Standard polarization: the e-th power of a variable spreads over its
     first e slots; the result is squarefree with an isomorphic LCM lattice."""
-    masks, offsets = _polarization(ideal.gens)
+    masks, offsets = ideal._polarized
     total = offsets[-1]
     gens = [Monomial(tuple((m >> k) & 1 for k in range(total))) for m in masks]
     return MonomialIdeal(total, tuple(gens))

@@ -13,8 +13,12 @@ complements are the lanes where the meet is the bottom and the join the top.
 Gradedness reads one bitmask per rank.  On tuple rows the checks loop over
 rows and bitsets in plain Python.
 
-The tables are filled on one of two paths, after the same order-axiom scan
-and with the same checks and messages.  ``from_below_masks`` looks each pair
+The tables are filled on one of two paths, after the same order-axiom check
+and with the same checks and messages.  The order check accepts a family of
+at most 128 down-sets through one Boolean square of the order matrix, packed
+as byte-aligned lanes of one integer; larger families, and any family the
+square does not accept, go through the per-element scan, which names the
+first element that breaks an axiom.  ``from_below_masks`` looks each pair
 up, up to the diagonal, in a dict from down-sets (up-sets) to elements.
 ``lattice_of_sets`` fills the tables of a family of at most 254 sets on at
 most 8 points by byte lanes, with no Python loop over pairs; its docstring
@@ -39,6 +43,10 @@ from .homology import SimplicialComplexData
 #: cap, took 106 s to build with a 1.72 GB peak RSS; B12 took 13.8 s and
 #: 444 MB.
 MAX_ELEMENTS = 1 << 13
+
+#: Largest element count whose order check is the Boolean matrix square of
+#: ``_is_order_by_square``; see ``_check_order``.
+_SQUARE_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -197,11 +205,6 @@ class FiniteLattice:
     @cached_property
     def strict_above(self) -> tuple:
         return tuple(m & ~(1 << i) for i, m in enumerate(self.above))
-
-    @cached_property
-    def comparable(self) -> tuple:
-        """comparable[v] = bitmask of the elements comparable with v."""
-        return tuple(b | a for b, a in zip(self.below, self.above))
 
     @cached_property
     def upper_cover_masks(self) -> tuple:
@@ -380,10 +383,27 @@ def _single_cover_mask(covers) -> int:
 
 def _check_order(below) -> None:
     """Raise unless the down-set bitmasks in below (a list) are those of a
-    partial order on 1..MAX_ELEMENTS elements."""
+    partial order on 1..MAX_ELEMENTS elements.
+
+    Up to _SQUARE_MAX = 128 elements the order is accepted through one
+    Boolean matrix square (``_is_order_by_square``); a family it does not
+    accept, and every family above the size rule, goes through the scan,
+    which raises at the first element that breaks an axiom.  The square's
+    cost grows as n**3 / 64 word operations, the scan's with the number of
+    comparable pairs.  On the edge-ideal lattices of 160 random graphs on 8
+    and 9 vertices (Python 3.11, 2-core x86), the square's time over the
+    scan's has a median of 0.51 at 96 to 111 elements, 0.70 at 128 to 143
+    (at most 0.92), 0.90 at 160 to 175, and 1.07 at 176 to 191, where the
+    two break even; at 208 to 255 it is 1.3 to 3.4.  L(P10) (200 elements)
+    reads 1.17, B7 (128) 0.71 and B8 (256) 2.39.  Chains, with every pair
+    comparable, favour the square at every size (0.17 at 128, 0.34 at
+    256).  The rule keeps a margin below the crossover, since the fewer
+    comparable pairs an order has, the sooner the square loses."""
     n = len(below)
     if n == 0 or n > MAX_ELEMENTS:
         raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
+    if n <= _SQUARE_MAX and _is_order_by_square(below):
+        return
     for i, m in enumerate(below):
         if not (m >> i) & 1:
             raise NotALattice(f"order not reflexive at element {i}")
@@ -394,6 +414,36 @@ def _check_order(below) -> None:
                 raise NotALattice(f"order not transitive at ({j}, {i})")
             if below[j] == m:
                 raise NotALattice(f"order not antisymmetric at ({j}, {i})")
+
+
+def _is_order_by_square(below) -> bool:
+    """Whether the down-sets in below are those of a partial order, read off
+    the Boolean square of the order matrix.
+
+    Row i of ``flat`` is below[i], one byte-aligned lane per row.  Lane i of
+    (flat >> j) & ones is bit j of below[i], so its product with below[j]
+    holds the down-set of j in each lane i with j below i, and 0 elsewhere;
+    no lane carries into the next once every entry is a bitmask of n bits.
+    The OR of the products over j is the square.  The order is reflexive
+    when the diagonal is set, transitive when the square adds no bit to
+    flat, and then antisymmetric when no two rows are equal."""
+    n = len(below)
+    if min(below) < 0 or max(below) >> n:
+        return False
+    width = (n + 7) // 8
+    lane = 8 * width
+    # bit 0 of every lane, and bit i of lane i: geometric series in 2**lane
+    # and 2**(lane + 1)
+    ones = ((1 << lane * n) - 1) // ((1 << lane) - 1)
+    diagonal = ((1 << (lane + 1) * n) - 1) // ((1 << lane + 1) - 1)
+    rows = b"".join([m.to_bytes(width, "little") for m in below])
+    flat = int.from_bytes(rows, "little")
+    if flat & diagonal != diagonal:
+        return False
+    square = 0
+    for j, m in enumerate(below):
+        square |= ((flat >> j) & ones) * m
+    return not square & ~flat and len(set(below)) == n
 
 
 def _checked_tables(bottom, top, rows, missing):
@@ -869,13 +919,6 @@ def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
             if w != stop:
                 stack.append((face + (i,), w))
     return SimplicialComplexData(vertices=tuple(verts), faces_by_dim=faces_by_dim)
-
-
-def open_interval_is_connected(L: FiniteLattice, lo: int, hi: int) -> bool:
-    """Comparability-connectedness of the open interval; an empty interval
-    counts as connected."""
-    members = L.strict_above[lo] & L.strict_below[hi]
-    return _reach(L.comparable, members & -members, members) == members
 
 
 # -- duality, products, isomorphism -------------------------------------------

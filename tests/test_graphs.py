@@ -25,6 +25,7 @@ from lcmlat.graphs import (
     has_universal_edge,
     is_gap_free,
     is_star,
+    linearly_presented,
     min_degree,
     path,
     star,
@@ -296,6 +297,43 @@ def test_check_graph_theorems_clean_on_samples():
               graph_fixture("fig6"), graph_fixture("bipartite-cm")):
         _, violations = check_graph_theorems(G)
         assert violations == []
+
+
+def _comparability_connected(L):
+    """linearly_presented by its definition: for every m of degree at least
+    4, the open interval (0, m) is connected in the comparability graph;
+    an empty interval counts as connected."""
+    from lcmlat.lattice import _reach
+
+    comparable = [b | a for b, a in zip(L.below, L.above)]
+    for m, mask in enumerate(L.sets):
+        if m != L.bottom and mask.bit_count() >= 4:
+            members = L.strict_above[L.bottom] & L.strict_below[m]
+            if _reach(comparable, members & -members, members) != members:
+                return False
+    return True
+
+
+def test_linear_presentation_matches_the_comparability_definition():
+    from lcmlat.verify import _seeded
+
+    lattices = [
+        edge_ideal_lattice(graph_from_mask(n, mask))
+        for n in range(2, 6)
+        for mask in connected_graph_masks(n)
+    ]
+    assert len(lattices) == 771
+    lattices += [edge_ideal_lattice(graph_fixture(name)) for name in GRAPH_FIXTURES]
+    seeded = [lcm_lattice(ideal) for _, ideal in _seeded(25, 300, (5, 5, 4))]
+    # an atom of degree 4 or more: its only lower cover is the bottom
+    assert any(
+        L.sets[a].bit_count() >= 4 and L.lower_cover_masks[a] == 1 << L.bottom
+        for L in seeded
+        for a in range(L.n)
+    )
+    verdicts = [linearly_presented(L) for L in lattices + seeded]
+    assert verdicts == [_comparability_connected(L) for L in lattices + seeded]
+    assert {True, False} <= set(verdicts[:771]) and {True, False} <= set(verdicts[771:])
 
 
 def test_enumeration_counts():

@@ -162,6 +162,34 @@ def test_polarize():
     assert is_isomorphic(lcm_lattice(I), lcm_lattice(P))
 
 
+def test_ideal_pd_polarizes_twice(capsys, monkeypatch, tmp_path):
+    # minimalize and the minimality check polarize; lcm_lattice and
+    # polarize reuse the check's masks, which eq, hash and repr leave out
+    import lcmlat.ideals as ideals_module
+    from lcmlat import cli
+
+    calls = []
+
+    def counted(gens):
+        calls.append(len(gens))
+        return polarization(gens)
+
+    polarization = ideals_module._polarization
+    monkeypatch.setattr(ideals_module, "_polarization", counted)
+    f = tmp_path / "wide.ideal"
+    f.write_text("x1^3*x2\nx2^2*x3\nx1*x3^4\nx1^3*x2^2\n")
+    assert cli.main(["ideal", "pd", str(f)]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert calls == [4, 3]
+    I = ideal((3, 1, 0), (0, 2, 1), (1, 0, 4))
+    del calls[:]
+    assert polarize(I).is_squarefree and calls == [3]  # the check on its result
+    masks, offsets = polarization(I.gens)
+    assert I._polarized == (tuple(masks), tuple(offsets))
+    J = MonomialIdeal(3, I.gens)
+    assert J == I and hash(J) == hash(I) and "_polarized" not in repr(I)
+
+
 def test_polarize_preserves_lattice_with_high_powers():
     I = ideal((3, 1, 0), (1, 2, 1), (0, 0, 3))
     assert is_isomorphic(lcm_lattice(I), lcm_lattice(polarize(I)))

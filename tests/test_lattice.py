@@ -14,6 +14,7 @@ from lcmlat.errors import (
     NotComparable,
 )
 from lcmlat.lattice import (
+    _bits,
     atoms,
     coatoms,
     dual,
@@ -95,6 +96,76 @@ def test_element_cap_fails_before_any_table(monkeypatch):
         product(chain91, chain91)
     with pytest.raises(TooLarge):
         lcm_lattice(boolean14)
+
+
+def _order_outcome(check, below):
+    """None when check(below) accepts, else the class and message it raises."""
+    try:
+        check(below)
+    except LcmLatError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _order_mutants(below, rng):
+    """Non-orders one edit away from the down-sets in below: a cleared
+    diagonal bit, a bit at n or above, a negative entry, a dropped
+    transitivity bit and a duplicated row, each at a seeded element."""
+    n = len(below)
+    i = rng.randrange(n)
+
+    def edited(k, m):
+        out = list(below)
+        out[k] = m
+        return out
+
+    yield edited(i, below[i] & ~(1 << i))
+    yield edited(i, below[i] | 1 << (n + rng.randrange(9)))
+    yield edited(i, -below[i])
+    # k < j < x: drop k from the down-set of x
+    chains = [
+        (x, k)
+        for x in range(n)
+        for j in _bits(below[x] & ~(1 << x))
+        for k in _bits(below[j] & ~(1 << j))
+    ]
+    if chains:
+        x, k = rng.choice(chains)
+        yield edited(x, below[x] & ~(1 << k))
+    if n > 1:
+        yield edited(i, below[rng.choice([j for j in range(n) if j != i])])
+
+
+def test_order_square_and_scan_agree(lattice_pool, relabelled_pool, monkeypatch):
+    """The Boolean square accepts exactly the orders the scan accepts, and
+    a family it rejects raises the scan's exception and message."""
+    import random
+
+    import lcmlat.lattice as lattice_module
+    from lcmlat.graphs import connected_graph_masks, graph_from_mask
+    from lcmlat.lattice import _SQUARE_MAX, _check_order, _is_order_by_square
+
+    rng = random.Random(25)
+    sweep6 = rng.sample(list(connected_graph_masks(6)), 200)
+    families = [
+        *(list(L.below) for L in lattice_pool.values()),
+        *(list(L.below) for L in relabelled_pool.values()),
+        *(list(edge_ideal_lattice(graph_from_mask(6, m)).below) for m in sweep6),
+        *(
+            list(lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)]).below)
+            for n in (_SQUARE_MAX - 1, _SQUARE_MAX, _SQUARE_MAX + 1)
+        ),
+    ]
+    mutants = [m for below in families for m in _order_mutants(below, rng)]
+    assert len(mutants) > 4 * len(families)
+    with_square = [_order_outcome(_check_order, b) for b in families + mutants]
+    monkeypatch.setattr(lattice_module, "_SQUARE_MAX", 0)
+    scanned = [_order_outcome(_check_order, b) for b in families + mutants]
+    assert with_square == scanned
+    assert scanned[: len(families)] == [None] * len(families)
+    assert all(out and out[0] is NotALattice for out in scanned[len(families):])
+    assert all(_is_order_by_square(b) for b in families)
+    assert not any(_is_order_by_square(b) for b in mutants)
 
 
 def test_cyclic_covers_rejected():
