@@ -679,6 +679,39 @@ def test_table_rows_are_bytes_while_indices_fit_a_byte(k):
             assert tuple(L.join[i]) == tuple(index[a | b] for b in masks)
 
 
+def test_built_tables_and_reports_are_pinned(lattice_pool, relabelled_pool):
+    # one digest over the tables and the property report of every lattice
+    # below: any change to a build path or a property check that moves an
+    # entry, a verdict or a witness changes it
+    import hashlib
+    import json
+    import random
+
+    from lcmlat.graphs import connected_graph_masks, graph_from_mask
+    from lcmlat.lattice import lattice_of_sets
+
+    lattices = [
+        edge_ideal_lattice(graph_from_mask(n, m))
+        for n in range(2, 6)
+        for m in connected_graph_masks(n)
+    ]
+    assert len(lattices) == 771
+    lattices += [*lattice_pool.values(), *relabelled_pool.values()]
+    for k in (4, 8, 9):
+        masks = list(range(1 << k))
+        random.Random(k).shuffle(masks)
+        lattices.append(lattice_of_sets(masks))
+    digest = hashlib.sha256()
+    for L in lattices:
+        meet, join = tuple(map(tuple, L.meet)), tuple(map(tuple, L.join))
+        digest.update(repr((L.below, L.above, meet, join, L.bottom, L.top)).encode())
+        report = property_report(L).as_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "704217b23838999e5d5afa0c905fc8b25ad411367f1f72348a37f9eea0cb4690"
+    )
+
+
 def test_subsets_match_the_inclusion_definition():
     # bit i of entry j is set exactly when masks[i] is inside masks[j]: on
     # seeded families with repeats, the empty set and a single member, on
