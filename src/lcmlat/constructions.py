@@ -19,14 +19,17 @@ from .lattice import (
 
 def subspace_count(q: int, r: int) -> int:
     """Total number of subspaces of F_q^r (sum of Gaussian binomials)."""
-    total = 0
+    return sum(_gaussian_binomials(q, r))
+
+
+def _gaussian_binomials(q: int, r: int):
+    """The number of k-dimensional subspaces of F_q^r, for k = 0..r."""
     for k in range(r + 1):
         num = den = 1
         for i in range(k):
             num *= q**r - q**i
             den *= q**k - q**i
-        total += num // den
-    return total
+        yield num // den
 
 
 def subspace_lattice(q: int, r: int) -> FiniteLattice:
@@ -38,7 +41,10 @@ def subspace_lattice(q: int, r: int) -> FiniteLattice:
     """
     if r < 1 or not is_prime(q):
         raise BadParameter(f"need prime q and r >= 1, got q={q}, r={r}")
-    if subspace_count(q, r) > MAX_ELEMENTS:
+    # F_q^r has (q**r - 1) / (q - 1) >= 2**r - 1 lines, more than the cap
+    # from r = 14 on; below that, the count stops once it passes the cap
+    counts = itertools.accumulate(_gaussian_binomials(q, r))
+    if r >= MAX_ELEMENTS.bit_length() or any(c > MAX_ELEMENTS for c in counts):
         raise TooLarge(f"subspace lattice of F_{q}^{r} exceeds capacity")
     vectors = list(itertools.product(range(q), repeat=r))
 

@@ -13,16 +13,18 @@ complements are the lanes where the meet is the bottom and the join the top.
 Gradedness reads one bitmask per rank.  On tuple rows the checks loop over
 rows and bitsets in plain Python.
 
-The tables are filled on one of two paths, after the same order-axiom check
-and with the same checks and messages.  The order check accepts a family of
-at most 128 down-sets through one Boolean square of the order matrix, packed
-as byte-aligned lanes of one integer; larger families, and any family the
-square does not accept, go through the per-element scan, which names the
-first element that breaks an axiom.  ``from_below_masks`` looks each pair
-up, up to the diagonal, in a dict from down-sets (up-sets) to elements.
-``lattice_of_sets`` fills the tables of a family of at most 254 sets on at
-most 8 points by byte lanes, with no Python loop over pairs; its docstring
-says how and when.
+Every build checks its input once, in the way that fits its form, and
+raises the same exceptions with the same messages on every path.
+``from_below_masks`` checks the order axioms with a per-element scan, which
+names the first element that breaks one, and then looks each pair up, up
+to the diagonal, in a dict from down-sets (up-sets) to elements;
+``lattice_from_covers``, ``dual`` and ``product`` build through it.
+``lattice_of_sets`` runs no scan: inclusion is reflexive and transitive,
+so a family of sets can break only antisymmetry, and only with a repeated
+set, which it looks for before any table work.  It fills the tables of a
+family of at most 254 sets on at most 8 points by byte lanes, with no
+Python loop over pairs, and those of any other family by the same dict
+lookup; its docstring says how and when.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ from .homology import SimplicialComplexData
 #: cap, took 106 s to build with a 1.72 GB peak RSS; B12 took 13.8 s and
 #: 444 MB.
 MAX_ELEMENTS = 1 << 13
-
-#: Largest element count whose order check is the Boolean matrix square of
-#: ``_is_order_by_square``; see ``_check_order``.
-_SQUARE_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -173,25 +171,7 @@ class FiniteLattice:
         """
         below = list(below)
         _check_order(below)
-        above = _transpose(below)
-        with_down_set = {m: i for i, m in enumerate(below)}.get
-        with_up_set = {m: i for i, m in enumerate(above)}.get
-        # both tables are symmetric: look up row i up to the diagonal, and
-        # complete it from the columns of the rows below
-        rows = (
-            (
-                [with_down_set(bi & m) for m in below[: i + 1]],
-                [with_up_set(ai & m) for m in above[: i + 1]],
-            )
-            for i, (bi, ai) in enumerate(zip(below, above))
-        )
-        bottom = with_down_set(reduce(and_, below))
-        top = with_up_set(reduce(and_, above))
-        low_meet, low_join = _checked_tables(bottom, top, rows, None)
-        return FiniteLattice(
-            tuple(below), tuple(above), _symmetric(low_meet), _symmetric(low_join),
-            bottom, top, labels,
-        )
+        return _from_down_sets(below, labels)
 
     # -- basic queries ----------------------------------------------------
 
@@ -381,29 +361,17 @@ def _single_cover_mask(covers) -> int:
     return mask
 
 
+def _check_count(n: int) -> None:
+    if not 1 <= n <= MAX_ELEMENTS:
+        raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
+
+
 def _check_order(below) -> None:
     """Raise unless the down-set bitmasks in below (a list) are those of a
-    partial order on 1..MAX_ELEMENTS elements.
-
-    Up to _SQUARE_MAX = 128 elements the order is accepted through one
-    Boolean matrix square (``_is_order_by_square``); a family it does not
-    accept, and every family above the size rule, goes through the scan,
-    which raises at the first element that breaks an axiom.  The square's
-    cost grows as n**3 / 64 word operations, the scan's with the number of
-    comparable pairs.  On the edge-ideal lattices of 160 random graphs on 8
-    and 9 vertices (Python 3.11, 2-core x86), the square's time over the
-    scan's has a median of 0.51 at 96 to 111 elements, 0.70 at 128 to 143
-    (at most 0.92), 0.90 at 160 to 175, and 1.07 at 176 to 191, where the
-    two break even; at 208 to 255 it is 1.3 to 3.4.  L(P10) (200 elements)
-    reads 1.17, B7 (128) 0.71 and B8 (256) 2.39.  Chains, with every pair
-    comparable, favour the square at every size (0.17 at 128, 0.34 at
-    256).  The rule keeps a margin below the crossover, since the fewer
-    comparable pairs an order has, the sooner the square loses."""
+    partial order on 1..MAX_ELEMENTS elements, at the first element that
+    breaks an axiom."""
     n = len(below)
-    if n == 0 or n > MAX_ELEMENTS:
-        raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
-    if n <= _SQUARE_MAX and _is_order_by_square(below):
-        return
+    _check_count(n)
     for i, m in enumerate(below):
         if not (m >> i) & 1:
             raise NotALattice(f"order not reflexive at element {i}")
@@ -416,34 +384,29 @@ def _check_order(below) -> None:
                 raise NotALattice(f"order not antisymmetric at ({j}, {i})")
 
 
-def _is_order_by_square(below) -> bool:
-    """Whether the down-sets in below are those of a partial order, read off
-    the Boolean square of the order matrix.
-
-    Row i of ``flat`` is below[i], one byte-aligned lane per row.  Lane i of
-    (flat >> j) & ones is bit j of below[i], so its product with below[j]
-    holds the down-set of j in each lane i with j below i, and 0 elsewhere;
-    no lane carries into the next once every entry is a bitmask of n bits.
-    The OR of the products over j is the square.  The order is reflexive
-    when the diagonal is set, transitive when the square adds no bit to
-    flat, and then antisymmetric when no two rows are equal."""
-    n = len(below)
-    if min(below) < 0 or max(below) >> n:
-        return False
-    width = (n + 7) // 8
-    lane = 8 * width
-    # bit 0 of every lane, and bit i of lane i: geometric series in 2**lane
-    # and 2**(lane + 1)
-    ones = ((1 << lane * n) - 1) // ((1 << lane) - 1)
-    diagonal = ((1 << (lane + 1) * n) - 1) // ((1 << lane + 1) - 1)
-    rows = b"".join([m.to_bytes(width, "little") for m in below])
-    flat = int.from_bytes(rows, "little")
-    if flat & diagonal != diagonal:
-        return False
-    square = 0
-    for j, m in enumerate(below):
-        square |= ((flat >> j) & ones) * m
-    return not square & ~flat and len(set(below)) == n
+def _from_down_sets(below: list, labels) -> FiniteLattice:
+    """The lattice of the down-sets in below, those of a partial order: the
+    meet and join tables, checked for a bottom, a top and every pairwise
+    meet and join."""
+    above = _transpose(below)
+    with_down_set = {m: i for i, m in enumerate(below)}.get
+    with_up_set = {m: i for i, m in enumerate(above)}.get
+    # both tables are symmetric: look up row i up to the diagonal, and
+    # complete it from the columns of the rows below
+    rows = (
+        (
+            [with_down_set(bi & m) for m in below[: i + 1]],
+            [with_up_set(ai & m) for m in above[: i + 1]],
+        )
+        for i, (bi, ai) in enumerate(zip(below, above))
+    )
+    bottom = with_down_set(reduce(and_, below))
+    top = with_up_set(reduce(and_, above))
+    low_meet, low_join = _checked_tables(bottom, top, rows, None)
+    return FiniteLattice(
+        tuple(below), tuple(above), _symmetric(low_meet), _symmetric(low_join),
+        bottom, top, labels,
+    )
 
 
 def _checked_tables(bottom, top, rows, missing):
@@ -485,8 +448,7 @@ def _symmetric(lower) -> tuple:
 def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     """Lattice from Hasse-diagram edges (low, high); leq is the
     reflexive-transitive closure.  Element indices are preserved."""
-    if n < 1 or n > MAX_ELEMENTS:
-        raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
+    _check_count(n)
     up = [[] for _ in range(n)]
     indeg = [0] * n
     for lo, hi in covers:
@@ -522,9 +484,15 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     """Distinct sets, given as bitmasks, ordered by inclusion.  Element i is
-    masks[i], kept as ``L.sets``, so the caller's order is kept.  The
-    checks, their order and their messages are those of
-    ``from_below_masks``.
+    masks[i], kept as ``L.sets``, so the caller's order is kept.
+
+    The element count is checked first.  Inclusion is reflexive and
+    transitive, so a family of sets can break an order axiom only through
+    a repeated set, which raises what the order scan of
+    ``from_below_masks`` raises on the inclusion down-sets: antisymmetry
+    at (j, i), for the first member i that has a twin and its first twin
+    j.  Both checks run before any table work; every message is
+    ``from_below_masks``'s.
 
     Complementing every set within the universe U (the union of the sets)
     reverses inclusion.  So the up-sets of the family are the down-sets of
@@ -548,8 +516,8 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     missing pair.  A mask must fit a byte, so k ≤ 8.  An index must be a
     byte other than the marker 255, so n ≤ 254; the only families of 255 or more sets on 8
     points are B8 and B8 less one set, which the dict path builds.  Every
-    other family is built by ``from_below_masks``, one dict lookup per
-    pair.  On union-closed families, k = 3..8 (Python 3.11, 2-core x86),
+    other family takes the dict path, one dict lookup per pair.  On
+    union-closed families, k = 3..8 (Python 3.11, 2-core x86),
     whole builds on the byte path take 0.63 to 0.89 times as long as on
     the dict path at n*n = 2**k, and break even between n*n = 0.4 * 2**k
     and 0.56 * 2**k; at n*n ≤ 2**k / 4 they take 1.2 to 3.1 times as long.
@@ -557,15 +525,22 @@ def lattice_of_sets(masks, labels=None) -> FiniteLattice:
     3,734 builds of a verify-pool benchmark pass to the byte path and save
     0.2 ms on them.
     """
+    n = len(masks)
+    _check_count(n)
+    if len(set(masks)) < n:
+        twins = {}
+        for i, m in enumerate(masks):
+            twins.setdefault(m, []).append(i)
+        i, j = min(ix[:2] for ix in twins.values() if len(ix) > 1)
+        raise NotALattice(f"order not antisymmetric at ({j}, {i})")
     universe = reduce(or_, masks, 0)
-    n, k = len(masks), universe.bit_length()
+    k = universe.bit_length()
     if not (k <= 8 and n < _NO_MEMBER and 1 << k <= n * n):
-        L = FiniteLattice.from_below_masks(_subsets(masks, universe), labels)
+        L = _from_down_sets(_subsets(masks, universe), labels)
     else:
         complements = [universe ^ m for m in masks]
         below, down, bottom = _byte_lanes(masks, k, reduce(and_, masks))
         above, up, top = _byte_lanes(complements, k, 0)
-        _check_order(below)
         meet, join = tuple(down), tuple(up)
         if _NO_MEMBER in (bottom, top) or _NO_MEMBER in b"".join(meet + join):
             _checked_tables(bottom, top, zip(meet, join), _NO_MEMBER)  # raises
@@ -597,7 +572,7 @@ def _byte_lanes(masks, k: int, s: int) -> tuple:
     member inside s.  _NO_MEMBER marks a subset with no largest member.
 
     One DP gives inside[t], for each subset t of range(k), the bitmask of
-    the members inside t, a repeated mask included: the AND, over the
+    the members inside t: the AND, over the
     points b outside t, of the members lacking b.  It adds one point b at
     a time to a list indexed by the subsets of the points below b: each
     entry ANDed with the members lacking b is the entry of that subset,

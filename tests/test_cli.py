@@ -368,6 +368,22 @@ def test_make_mn_refuses_a_huge_n_before_building_covers(capsys):
     assert peak < 1 << 20
 
 
+def test_make_subspace_refuses_a_large_r_without_counting_every_subspace(capsys):
+    # the full count of the subspaces of F_2^800 ran for over a minute
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["make", "subspace", "--q", "2", "--r", "800"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and "capacity" in err
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -75,7 +75,7 @@ def test_element_cap_fails_before_any_table(monkeypatch):
     from lcmlat.errors import TooLarge
     from lcmlat.formats import parse_ideal
     from lcmlat.ideals import lcm_lattice
-    from lcmlat.lattice import MAX_ELEMENTS, FiniteLattice
+    from lcmlat.lattice import MAX_ELEMENTS, FiniteLattice, lattice_of_sets
 
     chain91 = lattice_from_covers(91, [(i, i + 1) for i in range(90)])
     boolean14 = parse_ideal("".join(f"x{i}\n" for i in range(1, 15)))
@@ -84,7 +84,7 @@ def test_element_cap_fails_before_any_table(monkeypatch):
     # a build over the cap can only take the dict path, which transposes its
     # down-sets before it fills the meet and join tables, so a call here
     # means a build got past the cap
-    def no_build(out):
+    def no_build(*_):
         raise AssertionError("a lattice build started")
 
     monkeypatch.setattr(lattice_module, "_transpose", no_build)
@@ -96,6 +96,10 @@ def test_element_cap_fails_before_any_table(monkeypatch):
         product(chain91, chain91)
     with pytest.raises(TooLarge):
         lcm_lattice(boolean14)
+    # a set family is counted before its down-sets are computed
+    monkeypatch.setattr(lattice_module, "_subsets", no_build)
+    with pytest.raises(NotBounded):
+        lattice_of_sets(list(range(MAX_ELEMENTS + 1)))
 
 
 def _order_outcome(check, below):
@@ -136,36 +140,42 @@ def _order_mutants(below, rng):
         yield edited(i, below[rng.choice([j for j in range(n) if j != i])])
 
 
-def test_order_square_and_scan_agree(lattice_pool, relabelled_pool, monkeypatch):
-    """The Boolean square accepts exactly the orders the scan accepts, and
-    a family it rejects raises the scan's exception and message."""
+def test_order_scan_and_repeated_sets(lattice_pool, relabelled_pool):
+    """The scan accepts the down-sets of every order and rejects each
+    mutant one edit away; a set family with a repeated member gets from
+    lattice_of_sets the exception and message the scan raises on its
+    inclusion down-sets."""
     import random
 
-    import lcmlat.lattice as lattice_module
     from lcmlat.graphs import connected_graph_masks, graph_from_mask
-    from lcmlat.lattice import _SQUARE_MAX, _check_order, _is_order_by_square
+    from lcmlat.lattice import _check_order, lattice_of_sets
 
     rng = random.Random(25)
-    sweep6 = rng.sample(list(connected_graph_masks(6)), 200)
+    sweep6 = [
+        edge_ideal_lattice(graph_from_mask(6, m))
+        for m in rng.sample(list(connected_graph_masks(6)), 200)
+    ]
     families = [
         *(list(L.below) for L in lattice_pool.values()),
         *(list(L.below) for L in relabelled_pool.values()),
-        *(list(edge_ideal_lattice(graph_from_mask(6, m)).below) for m in sweep6),
+        *(list(L.below) for L in sweep6),
         *(
             list(lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)]).below)
-            for n in (_SQUARE_MAX - 1, _SQUARE_MAX, _SQUARE_MAX + 1)
+            for n in (127, 128, 129)
         ),
     ]
     mutants = [m for below in families for m in _order_mutants(below, rng)]
     assert len(mutants) > 4 * len(families)
-    with_square = [_order_outcome(_check_order, b) for b in families + mutants]
-    monkeypatch.setattr(lattice_module, "_SQUARE_MAX", 0)
-    scanned = [_order_outcome(_check_order, b) for b in families + mutants]
-    assert with_square == scanned
-    assert scanned[: len(families)] == [None] * len(families)
-    assert all(out and out[0] is NotALattice for out in scanned[len(families):])
-    assert all(_is_order_by_square(b) for b in families)
-    assert not any(_is_order_by_square(b) for b in mutants)
+    assert all(_order_outcome(_check_order, b) is None for b in families)
+    for below in mutants:
+        out = _order_outcome(_check_order, below)
+        assert out and out[0] is NotALattice, below
+    for L in sweep6:
+        masks = list(L.sets)
+        masks.insert(rng.randrange(L.n + 1), rng.choice(masks))
+        expected = _order_outcome(_check_order, _inclusion_down_sets(masks))
+        assert expected[0] is NotALattice
+        assert _order_outcome(lattice_of_sets, masks) == expected, masks
 
 
 def test_cyclic_covers_rejected():
