@@ -693,8 +693,6 @@ def test_built_tables_and_reports_are_pinned(lattice_pool, relabelled_pool):
     # one digest over the tables and the property report of every lattice
     # below: any change to a build path or a property check that moves an
     # entry, a verdict or a witness changes it
-    import hashlib
-    import json
     import random
 
     from lcmlat.graphs import connected_graph_masks, graph_from_mask
@@ -711,15 +709,38 @@ def test_built_tables_and_reports_are_pinned(lattice_pool, relabelled_pool):
         masks = list(range(1 << k))
         random.Random(k).shuffle(masks)
         lattices.append(lattice_of_sets(masks))
+    assert _tables_and_reports_digest(lattices) == (
+        "704217b23838999e5d5afa0c905fc8b25ad411367f1f72348a37f9eea0cb4690"
+    )
+
+
+def test_subspace_tables_and_reports_are_pinned():
+    # the same digest over subspace lattices S(q, r): any change to how
+    # subspaces are enumerated or ordered that moves an entry changes it
+    lattices = [
+        subspace_lattice(q, r)
+        for q, r in [
+            (2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (3, 4),
+            (5, 1), (5, 3), (7, 2), (11, 2), (13, 2),
+        ]
+    ]
+    assert _tables_and_reports_digest(lattices) == (
+        "71836430bdfc08c9eeb76ff64a3ea10c8f5616d0fe42810b92650f52083d2595"
+    )
+
+
+def _tables_and_reports_digest(lattices) -> str:
+    """sha256 over the tables and the property report of each lattice."""
+    import hashlib
+    import json
+
     digest = hashlib.sha256()
     for L in lattices:
         meet, join = tuple(map(tuple, L.meet)), tuple(map(tuple, L.join))
         digest.update(repr((L.below, L.above, meet, join, L.bottom, L.top)).encode())
         report = property_report(L).as_dict()
         digest.update(json.dumps(report, sort_keys=True).encode())
-    assert digest.hexdigest() == (
-        "704217b23838999e5d5afa0c905fc8b25ad411367f1f72348a37f9eea0cb4690"
-    )
+    return digest.hexdigest()
 
 
 def test_subsets_match_the_inclusion_definition():
