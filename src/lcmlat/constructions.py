@@ -5,6 +5,7 @@ lattices, and one hard-coded graphic-matroid lattice of flats."""
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .errors import BadParameter, TooLarge
 from .fields import is_prime
@@ -35,51 +36,48 @@ def _gaussian_binomials(q: int, r: int):
 def subspace_lattice(q: int, r: int) -> FiniteLattice:
     """Lattice of subspaces of F_q^r under inclusion, graded by dimension.
 
-    Subspaces are enumerated as vector sets and ordered deterministically by
-    (dimension, sorted vector codes).  q must be prime; extension fields are
-    out of scope.
+    The size is checked first, then that q is prime; extension fields are
+    out of scope.  Each subspace is enumerated once, from its reduced row echelon basis,
+    as its points: its vectors with first nonzero coordinate 1, the
+    combinations of the basis with first nonzero coefficient 1.  They are
+    ordered by (dimension, sorted points), the order by (dimension, sorted
+    vectors): of two subspaces of one dimension, the least vector in one
+    and not the other is a point, as scaling it to a leading 1 gives a
+    vector no larger in the one and not the other.
     """
+    # F_q^r has (q**r - 1) / (q - 1) >= 2**r - 1 lines, more than the cap
+    # from r = 14 on; below that, the count stops once it passes the cap.
+    # The count divides by q**k - q**i, which is 0 for q < 2.
+    if r >= 1 and q >= 2:
+        counts = itertools.accumulate(_gaussian_binomials(q, r))
+        if r >= MAX_ELEMENTS.bit_length() or any(c > MAX_ELEMENTS for c in counts):
+            raise TooLarge(f"subspace lattice of F_{q}^{r} exceeds capacity")
     if r < 1 or not is_prime(q):
         raise BadParameter(f"need prime q and r >= 1, got q={q}, r={r}")
-    # F_q^r has (q**r - 1) / (q - 1) >= 2**r - 1 lines, more than the cap
-    # from r = 14 on; below that, the count stops once it passes the cap
-    counts = itertools.accumulate(_gaussian_binomials(q, r))
-    if r >= MAX_ELEMENTS.bit_length() or any(c > MAX_ELEMENTS for c in counts):
-        raise TooLarge(f"subspace lattice of F_{q}^{r} exceeds capacity")
-    vectors = list(itertools.product(range(q), repeat=r))
-
-    def code(v):
-        c = 0
-        for x in v:
-            c = c * q + x
-        return c
-
-    def add(u, v):
-        return tuple((a + b) % q for a, b in zip(u, v))
-
-    def scale(c, v):
-        return tuple((c * a) % q for a in v)
-
-    zero = (0,) * r
-    spaces = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-    while frontier:
-        new = []
-        for U in frontier:
-            for v in vectors:
-                if v in U:
-                    continue
-                span = set(U)
-                for c in range(1, q):
-                    cv = scale(c, v)
-                    span.update(add(u, cv) for u in U)
-                W = frozenset(span)
-                if W not in spaces:
-                    spaces.add(W)
-                    new.append(W)
-        frontier = new
-    elems = sorted(spaces, key=lambda U: (len(U), sorted(map(code, U))))
-    return lattice_of_sets([sum(1 << code(v) for v in U) for U in elems])
+    spaces = []
+    for k in range(r + 1):
+        leading_ones = [
+            (0,) * j + (1,) + rest
+            for j in range(k)
+            for rest in itertools.product(range(q), repeat=k - j - 1)
+        ]
+        for pivots in itertools.combinations(range(r), k):
+            free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, r)]
+            free = [(i, c) for i, c in free if c not in pivots]
+            for values in itertools.product(range(q), repeat=len(free)):
+                basis = [[int(c == p) for c in range(r)] for p in pivots]
+                for (i, c), x in zip(free, values):
+                    basis[i][c] = x
+                columns = list(zip(*basis))
+                points = (
+                    tuple(sum(map(mul, a, col)) % q for col in columns)
+                    for a in leading_ones
+                )
+                spaces.append(tuple(sorted(points)))
+    spaces.sort(key=lambda U: (len(U), U))
+    # the whole space, last, holds every point
+    bit = {p: 1 << i for i, p in enumerate(spaces[-1])}
+    return lattice_of_sets([sum(map(bit.get, U)) for U in spaces])
 
 
 def mn_lattice(n: int) -> FiniteLattice:

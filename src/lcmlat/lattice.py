@@ -15,16 +15,19 @@ rows and bitsets in plain Python.
 
 Every build checks its input once, in the way that fits its form, and
 raises the same exceptions with the same messages on every path.
-``from_below_masks`` checks the order axioms with a per-element scan, which
-names the first element that breaks one, and then looks each pair up, up
-to the diagonal, in a dict from down-sets (up-sets) to elements;
-``lattice_from_covers``, ``dual`` and ``product`` build through it.
-``lattice_of_sets`` runs no scan: inclusion is reflexive and transitive,
-so a family of sets can break only antisymmetry, and only with a repeated
-set, which it looks for before any table work.  It fills the tables of a
-family of at most 254 sets on at most 8 points by byte lanes, with no
-Python loop over pairs, and those of any other family by the same dict
-lookup; its docstring says how and when.
+``from_below_masks`` alone checks the order axioms, with a per-element
+scan that names the first element that breaks one; it then fills the
+tables through ``_from_down_sets``, which looks each pair up, up to the
+diagonal, in a dict from down-sets (up-sets) to elements, and raises for a
+missing bound.  ``lattice_from_covers`` and ``product`` fill through
+``_from_down_sets`` with no scan: the closure of an acyclic cover relation
+is an order, and so is a product of orders.  ``dual`` swaps the tables it
+is given.  ``lattice_of_sets`` runs no scan either: inclusion is reflexive
+and transitive, so a family of sets can break only antisymmetry, and only
+with a repeated set, which it looks for before any table work.  It fills
+the tables of a family of at most 254 sets on at most 8 points by byte
+lanes, with no Python loop over pairs, and those of any other family by
+the same dict lookup; its docstring says how and when.
 """
 
 from __future__ import annotations
@@ -447,7 +450,8 @@ def _symmetric(lower) -> tuple:
 
 def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     """Lattice from Hasse-diagram edges (low, high); leq is the
-    reflexive-transitive closure.  Element indices are preserved."""
+    reflexive-transitive closure, an order once the edges have no cycle, so
+    no order scan runs.  Element indices are preserved."""
     _check_count(n)
     up = [[] for _ in range(n)]
     indeg = [0] * n
@@ -473,7 +477,7 @@ def lattice_from_covers(n: int, covers, labels=None) -> FiniteLattice:
     for v in order:
         for w in up[v]:
             below[w] |= below[v]
-    return FiniteLattice.from_below_masks(below, labels)
+    return _from_down_sets(below, labels)
 
 
 #: The byte that ``_byte_lanes`` writes where a subset has no largest member.
@@ -900,8 +904,10 @@ def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
 
 
 def dual(L: FiniteLattice) -> FiniteLattice:
-    """Order-reversed lattice on the same element ids; labels drop."""
-    return FiniteLattice.from_below_masks(L.above)
+    """Order-reversed lattice on the same element ids: L's tables, swapped
+    (down-sets with up-sets, meets with joins, bottom with top); labels
+    drop."""
+    return FiniteLattice(L.above, L.below, L.join, L.meet, L.top, L.bottom)
 
 
 def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
@@ -909,16 +915,10 @@ def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
     n1, n2 = L1.n, L2.n
     if n1 * n2 > MAX_ELEMENTS:
         raise NotBounded("product exceeds element capacity")
-    below = [0] * (n1 * n2)
-    for x in range(n1):
-        bx = L1.below[x]
-        for y in range(n2):
-            m = 0
-            b2 = L2.below[y]
-            for u in _bits(bx):
-                m |= b2 << (u * n2)
-            below[x * n2 + y] = m
-    return FiniteLattice.from_below_masks(below)
+    below = [
+        sum(b2 << (u * n2) for u in _bits(b1)) for b1 in L1.below for b2 in L2.below
+    ]
+    return _from_down_sets(below, None)
 
 
 def _transpose(out) -> list:

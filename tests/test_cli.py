@@ -384,6 +384,28 @@ def test_make_subspace_refuses_a_large_r_without_counting_every_subspace(capsys)
     assert peak < 1 << 20
 
 
+def test_make_subspace_builds_each_subspace_once(capsys):
+    # spanning every subspace from every vector of F_31^2 took 45 s for
+    # these 34 elements
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["make", "subspace", "--q", "31", "--r", "2"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert '"n":34' in out
+
+
+def test_make_subspace_refuses_a_huge_q_before_testing_it_for_primality(capsys):
+    # over the cap on r alone; proving this q prime by trial division took
+    # about 7 s
+    start = time.perf_counter()
+    argv = ["make", "subspace", "--q", "10000000000000061", "--r", "14"]
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lcmlat: error: ") and "capacity" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

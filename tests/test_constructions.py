@@ -102,3 +102,7 @@ def test_capacity_guard():
     assert subspace_count(2, 3) == 16
     with pytest.raises(TooLarge):
         subspace_lattice(2, 25)
+    # the size is checked before primality, so a q that is not prime gets
+    # TooLarge when the space is over the cap
+    with pytest.raises(TooLarge):
+        subspace_lattice(4, 14)

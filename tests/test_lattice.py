@@ -317,6 +317,27 @@ def test_dual_is_involutive(lattice_pool):
         assert is_isomorphic(dual(dual(L)), L)
 
 
+def test_dual_swaps_the_tables_that_from_below_masks_builds(
+    lattice_pool, relabelled_pool
+):
+    # dual reads no order and fills no table: its tables must be the ones
+    # a build from the up-sets gives, entry for entry; a bytes row never
+    # equals a tuple row, so row types are compared too.  Shuffled B9 has
+    # 512 elements, so tuple rows.
+    import random
+
+    from lcmlat.lattice import FiniteLattice, lattice_of_sets
+
+    masks = list(range(1 << 9))
+    random.Random(9).shuffle(masks)
+    B9 = lattice_of_sets(masks)
+    assert isinstance(B9.meet[0], tuple)
+    for L in [*lattice_pool.values(), *relabelled_pool.values(), B9]:
+        expected = _built(FiniteLattice.from_below_masks, L.above)
+        assert _built(dual, L) == expected
+        assert _built(dual, dual(L)) == _built(lambda L: L, L)
+
+
 def test_graded_and_semimodularity_dualities(lattice_pool):
     for L in lattice_pool.values():
         D = dual(L)
