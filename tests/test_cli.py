@@ -406,6 +406,28 @@ def test_make_subspace_refuses_a_huge_q_before_testing_it_for_primality(capsys):
     assert err.startswith("lcmlat: error: ") and "capacity" in err
 
 
+def test_a_large_prime_is_tested_at_once(capsys, monkeypatch):
+    # proving 10000000000000061 prime by trial division took about 6 s in
+    # each of these commands
+    q = "10000000000000061"
+    for argv, stdin in (
+        (["ideal", "betti", "-", "--char", q], "x1\n"),
+        (["make", "subspace", "--q", q, "--r", "1"], None),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv, stdin, monkeypatch)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out and err == "", argv
+    psi_13 = "3317044064679887385961981"
+    for argv, stdin in (
+        (["ideal", "betti", "-", "--char", psi_13], "x1\n"),
+        (["make", "subspace", "--q", psi_13, "--r", "1"], None),
+    ):
+        code, out, err = run(capsys, argv, stdin, monkeypatch)
+        assert code == 1 and out == "", argv
+        assert err.startswith("lcmlat: error: cannot test ") and "primality" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

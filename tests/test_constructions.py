@@ -35,6 +35,14 @@ def test_subspace_lattice_small():
         subspace_lattice(2, 0)
 
 
+def test_subspace_lattice_refuses_a_q_too_large_to_test():
+    # a 2-element lattice, but q is at or above the bound below which the
+    # primality test is exact
+    assert subspace_lattice(10_000_000_000_000_061, 1).n == 2
+    with pytest.raises(BadParameter, match="primality"):
+        subspace_lattice(3_317_044_064_679_887_385_961_981, 1)
+
+
 def test_subspace_counts_and_grading():
     for q, r in ((2, 2), (3, 2), (5, 2), (2, 3)):
         L = subspace_lattice(q, r)

@@ -10,7 +10,13 @@ import pytest
 
 import lcmlat.homology as hm
 from lcmlat.errors import BadParameter
-from lcmlat.fields import FieldSpec
+from lcmlat.fields import (
+    PRIME_BASES,
+    PSI_13,
+    FieldSpec,
+    _strong_probable_prime,
+    is_prime,
+)
 from lcmlat.homology import (
     SimplicialComplexData,
     SparseColumns,
@@ -31,6 +37,49 @@ def test_field_spec_validation():
     assert str(FieldSpec(2)) == "GF(2)"
     with pytest.raises(BadParameter):
         FieldSpec(4)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if is_prime(n)] == [
+        n for n in range(200_000) if _is_prime_by_trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, fooled",
+    [
+        # psi_k, the least composite that passes the Miller-Rabin round to
+        # each of the first k prime bases, for each distinct psi_k below
+        # psi_13 (OEIS A014233): it fails base k + 1, and only base 41
+        # catches the last one
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 8),
+        (3_825_123_056_546_413_051, 11),
+        (318_665_857_834_031_151_167_461, 12),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n, fooled):
+    assert all(_strong_probable_prime(n, a) for a in PRIME_BASES[:fooled])
+    assert not _strong_probable_prime(n, PRIME_BASES[fooled])
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_to_guess_at_or_above_psi_13():
+    assert is_prime(2**61 - 1) and is_prime(10_000_000_000_000_061)
+    assert not is_prime(PSI_13 - 1)
+    assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(BadParameter, match="primality"):
+            FieldSpec(n)
 
 
 def test_boundary_single_vertex():
@@ -128,8 +177,12 @@ def test_full_simplex_is_acyclic():
 def test_sparse_rank_matches_numpy():
     # random sparse integer matrices of every shape, with zero, repeated and
     # dependent columns and entries that vanish mod p, against independent
-    # ranks: numpy's over QQ, the Taylor oracle's own elimination over GF(p)
-    from lcmlat.taylor import _pivot_rows
+    # ranks: numpy's over QQ, the Taylor oracle's own elimination over GF(p).
+    # That elimination is checked too: over QQ against numpy, and over GF(2)
+    # against its XOR path, which pivots at the top bit; with the rows
+    # reversed both pivot at the first row, so both give the leading rows
+    # of the column space in echelon form.
+    from lcmlat.taylor import _pivot_rows, _xor_pivot_rows
 
     rng = np.random.default_rng(11)
     for trial in range(300):
@@ -151,6 +204,13 @@ def test_sparse_rank_matches_numpy():
         )
         expected = np.linalg.matrix_rank(a.astype(float)) if a.size else 0
         assert sparse_rank(mat, FieldSpec(0)) == expected, a
+        assert len(_pivot_rows(mat.columns, FieldSpec(0))) == expected, a
+        bitsets = [
+            sum(1 << (mat.nrows - 1 - r) for r, v in col.items() if v % 2)
+            for col in mat.columns
+        ]
+        xor_rows = {mat.nrows - 1 - t for t in _xor_pivot_rows(bitsets)}
+        assert xor_rows == _pivot_rows(mat.columns, FieldSpec(2)), a
         for p in (2, 3, 32003):
             expected = len(_pivot_rows(mat.columns, FieldSpec(p)))
             assert sparse_rank(mat, FieldSpec(p)) == expected, (p, a)

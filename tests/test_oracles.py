@@ -228,13 +228,14 @@ def test_cycle8_betti_matches_taylor_and_moebius():
 
 def test_dense_six_vertex_graphs_agree_on_both_routes():
     # the 9 connected 6-vertex classes with 12-15 edges, K6 included: the
-    # largest Taylor complexes (up to 2^15 subsets) tier-1 builds
+    # largest Taylor complexes (up to 2^15 subsets) tier-1 builds, over
+    # GF(2) and GF(32003), and K6 over QQ as well
     dense = [G for G in connected_nonisomorphic_graphs(6) if len(G.edges) >= 12]
     assert len(dense) == 9 and max(len(G.edges) for G in dense) == 15
     for G in dense:
         I = edge_ideal(G)
         L = lcm_lattice(I)
-        for char in (2, 32003):
+        for char in (2, 32003) + ((0,) if len(G.edges) == 15 else ()):
             interval = lattice_betti_table(L, FieldSpec(char)).multigraded
             assert interval == taylor_betti(I, FieldSpec(char)), (G.edges, char)
 
