@@ -397,28 +397,77 @@ def gray_area_violations(rep: PropertyReport) -> list:
 # -- enumeration ----------------------------------------------------------------
 
 
-def _edge_list(n: int):
-    return list(itertools.combinations(range(n), 2))
+#: Low edges, which vary within one block of connected_graph_masks; each
+#: vertex's reach int then has 2**16 bits (8 KB).
+_BLOCK_EDGES = 16
+
+
+@cache
+def _edge_list(n: int) -> tuple:
+    return tuple(itertools.combinations(range(n), 2))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose edges are the set bits of mask, bit i
+    standing for the i-th pair of ``itertools.combinations(range(n), 2)``."""
     pairs = _edge_list(n)
-    return Graph(n, tuple(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1))
+    if mask >> len(pairs):
+        raise BadParameter(
+            f"edge mask {mask} is not a set of the {len(pairs)} edges on {n} vertices"
+        )
+    return Graph(n, tuple(pairs[i] for i in _bits(mask)))
 
 
 def connected_graph_masks(n: int):
-    """Edge-subset masks of all connected nontrivial labeled graphs on n
-    vertices, ascending."""
+    """Edge-subset masks (as in :func:`graph_from_mask`) of all connected
+    nontrivial labeled graphs on n vertices, ascending, listed lazily.
+
+    The masks are taken in blocks that share their edges above the lowest
+    ``_BLOCK_EDGES``.  Within a block, reach[v] has bit s set when v is
+    reachable from vertex 0 in the graph whose low edges are the mask s.
+    Each edge relaxes ``reach[u] |= reach[v] & has`` both ways, where has is
+    the bit pattern of the masks holding the edge (all ones or zero for a
+    high edge), until nothing changes; the connected masks of the block are
+    the set bits of the AND of all reach ints."""
+    if n < 2:
+        return
     pairs = _edge_list(n)
-    full = (1 << n) - 1
-    for mask in range(1, 1 << len(pairs)):
-        adj = [0] * n
-        for i in _bits(mask):
-            u, v = pairs[i]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if _reach(adj, 1, full) == full:
-            yield mask
+    low = min(len(pairs), _BLOCK_EDGES)
+    size = 1 << low
+    ones = (1 << size) - 1
+    has = []
+    for e in range(low):
+        # 2**e zeros then 2**e ones, repeated by doubling: dividing a
+        # repunit would give the same pattern in quadratic time
+        pattern, width = ((1 << (1 << e)) - 1) << (1 << e), 2 << e
+        while width < size:
+            pattern |= pattern << width
+            width *= 2
+        has.append(pattern)
+    digits = bytes.maketrans(b"01", b"\0\1")
+    for high in range(1 << (len(pairs) - low)):
+        edges = [
+            (u, v, has[e] if e < low else ones)
+            for e, (u, v) in enumerate(pairs)
+            if e < low or high >> (e - low) & 1
+        ]
+        reach = [ones] + [0] * (n - 1)
+        changed = True
+        while changed:
+            changed = False
+            for u, v, m in edges:
+                # the masks holding the edge with exactly one end reached
+                grow = (reach[u] ^ reach[v]) & m
+                if grow:
+                    reach[u] |= grow
+                    reach[v] |= grow
+                    changed = True
+        conn = ones
+        for r in reach:
+            conn &= r
+        # bit s of conn is byte s of the reversed binary string
+        selected = bin(conn)[:1:-1].encode().translate(digits)
+        yield from itertools.compress(range(high << low, (high + 1) << low), selected)
 
 
 @cache
@@ -446,15 +495,20 @@ def _class_rows(k: int) -> tuple:
     return tuple(rows for kept in buckets.values() for rows, _ in kept)
 
 
+def _class_masks(n: int) -> list:
+    """Sorted edge masks of one graph per isomorphism class of connected
+    nontrivial graphs on n vertices."""
+    if n < 2:
+        return []
+    pos = {pair: i for i, pair in enumerate(_edge_list(n))}
+    return sorted(
+        sum(1 << pos[u, v] for v, r in enumerate(rows) for u in _bits(r) if u < v)
+        for rows in _class_rows(n)
+    )
+
+
 def connected_nonisomorphic_graphs(n: int) -> list:
     """One graph per isomorphism class of connected nontrivial graphs on n
     vertices, sorted by edge mask.  Each level is built once per process, so
     listing n + 1 after n extends the level already built."""
-    if n < 2:
-        return []
-    pos = {pair: i for i, pair in enumerate(_edge_list(n))}
-    masks = [
-        sum(1 << pos[u, v] for v, r in enumerate(rows) for u in _bits(r) if u < v)
-        for rows in _class_rows(n)
-    ]
-    return [graph_from_mask(n, m) for m in sorted(masks)]
+    return [graph_from_mask(n, m) for m in _class_masks(n)]

@@ -17,10 +17,10 @@ from .errors import BadParameter, BadTheoremId, ContractViolation
 from .fields import DEFAULT_PRIME, FieldSpec
 from .graphs import (
     Graph,
+    _class_masks,
     check_graph_theorems,
     complete,
     connected_graph_masks,
-    connected_nonisomorphic_graphs,
     cycle,
     edge_ideal,
     edge_ideal_lattice,
@@ -183,9 +183,10 @@ def _seeded(seed: int, count: int, shape: tuple) -> list:
 # -- exhaustive graph sweep -----------------------------------------------------
 
 
-def _graph_violations(G: Graph) -> list:
-    """(case id, graph JSON, detail) for each theorem that fails on one
-    graph; empty when every theorem holds."""
+def _graph_violations(n: int, mask: int) -> list:
+    """(case id, graph JSON, detail) for each theorem that fails on the graph
+    ``graph_from_mask(n, mask)``; empty when every theorem holds."""
+    G = graph_from_mask(n, mask)
     rep, violations = check_graph_theorems(G)
     out = []
     for v in violations:
@@ -202,19 +203,18 @@ def _graph_violations(G: Graph) -> list:
 def _sweep_graphs(max_n: int, jobs: int):
     """Every connected labeled graph on 2.._LABELED_MAX_N vertices, then one
     graph per isomorphism class up to max_n vertices, in (n, edge mask)
-    order; the graphs are split into contiguous shards over the pool."""
+    order; the (n, mask) pairs are split into contiguous shards over the
+    pool, and each worker builds its graphs."""
     graphs = []
     for n in range(2, max_n + 1):
-        if n <= _LABELED_MAX_N:
-            graphs.extend(graph_from_mask(n, m) for m in connected_graph_masks(n))
-        else:
-            graphs.extend(connected_nonisomorphic_graphs(n))
+        masks = connected_graph_masks(n) if n <= _LABELED_MAX_N else _class_masks(n)
+        graphs.extend((n, m) for m in masks)
     if jobs > 1:
         with Pool(jobs) as pool:
             shard = -(-len(graphs) // (16 * jobs))
-            per_graph = pool.map(_graph_violations, graphs, chunksize=shard)
+            per_graph = pool.starmap(_graph_violations, graphs, chunksize=shard)
     else:
-        per_graph = map(_graph_violations, graphs)
+        per_graph = itertools.starmap(_graph_violations, graphs)
     return len(graphs), [v for found in per_graph for v in found]
 
 

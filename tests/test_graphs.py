@@ -337,8 +337,54 @@ def test_linear_presentation_matches_the_comparability_definition():
 
 
 def test_enumeration_counts():
-    assert sum(1 for _ in connected_graph_masks(4)) == 38
-    assert sum(1 for _ in connected_graph_masks(5)) == 728
+    # OEIS A001187; n = 7 has 21 edges, more than one block of 16
+    counts = [sum(1 for _ in connected_graph_masks(n)) for n in range(8)]
+    assert counts == [0, 0, 1, 4, 38, 728, 26_704, 1_866_256]
+
+
+def test_connected_graph_masks_match_the_per_mask_definition():
+    from lcmlat.lattice import _reach
+
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        full = (1 << n) - 1
+        expected = []
+        for mask in range(1, 1 << len(pairs)):
+            adj = [0] * n
+            for i, (u, v) in enumerate(pairs):
+                if mask >> i & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            if _reach(adj, 1, full) == full:
+                expected.append(mask)
+        assert list(connected_graph_masks(n)) == expected, n
+
+
+def test_connected_graph_masks_are_pinned_and_lazy():
+    import hashlib
+    import tracemalloc
+
+    # the labeled sweep order, and so the sample of the 6-vertex benchmark
+    masks = list(connected_graph_masks(6))
+    digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+    assert digest == "e5df01a9797de944ecddf4951aad66fb13cb3ca6931ef3ca9114b78c27428c50"
+    # 66 edges: the first block of 2**16 masks only, not 2**66 bits
+    tracemalloc.start()
+    try:
+        first = next(connected_graph_masks(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == 2047  # the star at vertex 0
+    assert peak < 2_000_000
+
+
+def test_graph_from_mask_refuses_bits_outside_the_edges():
+    assert graph_from_mask(3, 0b111) == complete(3)
+    assert graph_from_mask(0, 0) == Graph(0, ())
+    for n, mask in ((3, 0b1000), (3, 0b1001), (3, -1), (0, 1), (1, 1)):
+        with pytest.raises(BadParameter):
+            graph_from_mask(n, mask)
 
 
 def test_connectivity_matches_networkx_on_all_small_graphs():

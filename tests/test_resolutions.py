@@ -19,7 +19,13 @@ from lcmlat.graphs import (
     path,
     star,
 )
-from lcmlat.lattice import is_atomic, lattice_from_covers
+from lcmlat.lattice import (
+    is_atomic,
+    is_complemented,
+    is_strongly_complemented,
+    lattice_from_covers,
+    mobius,
+)
 from lcmlat.resolutions import (
     _vanishing_bounds,
     betti_table,
@@ -121,6 +127,17 @@ def test_pd_vs_height_reports():
     assert not p5.equal and p5.lattice_strongly_complemented
     k4 = pd_vs_height_report(edge_ideal(complete(4)))
     assert k4.lattice_lsm_coatomic and k4.equal
+
+
+def test_complemented_clutter_is_not_strongly_complemented(complemented_clutter):
+    L = lcm_lattice(complemented_clutter)
+    assert L.n == 9
+    assert is_complemented(L) == (True, None)
+    assert is_strongly_complemented(L) == (False, (7,))
+    assert mobius(L, L.bottom, L.top) == 0
+    rep = pd_vs_height_report(complemented_clutter)
+    assert (rep.pd, rep.lattice_height, rep.equal) == (2, 3, False)
+    assert not rep.lattice_strongly_complemented
 
 
 def test_pd_vs_height_second_route_reads_the_top_group(monkeypatch):
