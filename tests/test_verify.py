@@ -22,6 +22,19 @@ def test_catalog_ids_are_closed():
     assert len(CATALOG) == 17
 
 
+def test_verify_all_json_is_pinned():
+    # sha256 of what `lcmlat verify all --json --max-n 5` prints at seeds 0
+    # and 1: every case, its instance count and its counterexamples
+    import hashlib
+
+    for seed in (0, 1):
+        results = run_cases(list(CATALOG), max_n=5, seed=seed)
+        text = dumps_json([r.to_json() for r in results])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e210bcbc4e6f621f7dae3147dc1c48b0fdcab4b171c2407970e4c48ec84265bc"
+        ), seed
+
+
 def test_random_ideal_is_deterministic():
     import random
 
