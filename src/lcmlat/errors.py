@@ -58,7 +58,7 @@ class BadTheoremId(LcmLatError):
 
 
 class ResourceLimit(LcmLatError):
-    """A verification case exceeded its configured bounds."""
+    """taylor_betti was given more than ``taylor.MAX_GENERATORS`` (16) generators."""
 
 
 class FormatError(LcmLatError):

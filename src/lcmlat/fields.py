@@ -8,7 +8,6 @@ Betti computations is kept on separate code paths on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BadParameter
 
@@ -41,11 +40,9 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=128)
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin on PRIME_BASES, exact for p < PSI_13; at
-    or above PSI_13 it raises BadParameter instead of guessing.  Cached,
-    since the homology code builds a FieldSpec for each complex it reduces."""
+    or above PSI_13 it raises BadParameter instead of guessing."""
     if p >= PSI_13:
         raise BadParameter(
             f"cannot test {p} for primality: only numbers below {PSI_13} are tested"

@@ -470,6 +470,20 @@ def connected_graph_masks(n: int):
         yield from itertools.compress(range(high << low, (high + 1) << low), selected)
 
 
+def connected_class_masks(n: int) -> list:
+    """Sorted edge masks (as in :func:`graph_from_mask`) of one graph per
+    isomorphism class of connected nontrivial graphs on n vertices.  Each
+    level is built once per process, so listing n + 1 after n extends the
+    level already built."""
+    if n < 2:
+        return []
+    pos = {pair: i for i, pair in enumerate(_edge_list(n))}
+    return sorted(
+        sum(1 << pos[u, v] for v, r in enumerate(rows) for u in _bits(r) if u < v)
+        for rows in _class_rows(n)
+    )
+
+
 @cache
 def _class_rows(k: int) -> tuple:
     """Adjacency rows of one graph per isomorphism class of connected graphs
@@ -493,22 +507,3 @@ def _class_rows(k: int) -> tuple:
             if all(find_isomorphism(rows, o, colors, oc) is None for o, oc in kept):
                 kept.append((rows, colors))
     return tuple(rows for kept in buckets.values() for rows, _ in kept)
-
-
-def _class_masks(n: int) -> list:
-    """Sorted edge masks of one graph per isomorphism class of connected
-    nontrivial graphs on n vertices."""
-    if n < 2:
-        return []
-    pos = {pair: i for i, pair in enumerate(_edge_list(n))}
-    return sorted(
-        sum(1 << pos[u, v] for v, r in enumerate(rows) for u in _bits(r) if u < v)
-        for rows in _class_rows(n)
-    )
-
-
-def connected_nonisomorphic_graphs(n: int) -> list:
-    """One graph per isomorphism class of connected nontrivial graphs on n
-    vertices, sorted by edge mask.  Each level is built once per process, so
-    listing n + 1 after n extends the level already built."""
-    return [graph_from_mask(n, m) for m in _class_masks(n)]

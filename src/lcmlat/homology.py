@@ -20,6 +20,10 @@ from .fields import DEFAULT_PRIME, FieldSpec
 #: Confirm GF(p) ranks against characteristic 0 below this column count.
 CHAR0_CONFIRM_COLUMNS = 5000
 
+#: The two fields of the default route: the fast ranks, then the check.
+_FAST_FIELD = FieldSpec(DEFAULT_PRIME)
+_EXACT_FIELD = FieldSpec(0)
+
 
 @dataclass(frozen=True)
 class SimplicialComplexData:
@@ -164,10 +168,10 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     boundaries = [boundary_matrix(K, d) for d in range(K.dim + 1)]
     if field is not None:
         return _homology_ranks(boundaries, field)
-    fast = _homology_ranks(boundaries, FieldSpec(DEFAULT_PRIME))
+    fast = _homology_ranks(boundaries, _FAST_FIELD)
     if max(K.n_faces(d) for d in K.faces_by_dim) >= CHAR0_CONFIRM_COLUMNS:
         return fast
-    exact = _homology_ranks(boundaries, FieldSpec(0))
+    exact = _homology_ranks(boundaries, _EXACT_FIELD)
     if exact != fast:
         warnings.warn(
             f"homology ranks differ between GF({DEFAULT_PRIME}) and char 0: "

@@ -130,11 +130,9 @@ def minimalize(monomials, nvars=None) -> MonomialIdeal:
     if nvars is None:
         nvars = max(m.nvars for m in monomials)
     monomials = [Monomial(m.exps + (0,) * (nvars - m.nvars)) for m in monomials]
-    for m in monomials:
-        if m.is_unit:
-            raise UnitGenerator("1 is not allowed as a generator")
     monomials = sorted(set(monomials), key=lambda m: (m.degree, m.exps))
-    # a divisor of m comes before it in this order
+    # a divisor of m comes before it in this order; a unit divides every
+    # monomial, so it is kept alone and MonomialIdeal raises UnitGenerator
     masks, _ = _polarization(monomials)
     kept, kept_masks = [], []
     for m, mask in zip(monomials, masks):

@@ -128,8 +128,9 @@ def _reach(rows, seed: int, within: int) -> int:
 class FiniteLattice:
     """Immutable finite bounded lattice.
 
-    Build through :func:`lattice_from_covers`, :meth:`from_below_masks`, or
-    the constructors in :mod:`lcmlat.ideals`, :mod:`lcmlat.graphs` and
+    Build through :func:`lattice_from_covers`, :meth:`from_below_masks`,
+    :func:`lattice_of_sets`, :func:`product`, :func:`dual`, or the
+    constructors in :mod:`lcmlat.ideals`, :mod:`lcmlat.graphs` and
     :mod:`lcmlat.constructions`; the raw ``__init__`` checks only the label count.
 
     ``labels`` is None, one label per element, or a function of no
@@ -182,26 +183,19 @@ class FiniteLattice:
         return bool((self.below[y] >> x) & 1)
 
     @cached_property
-    def strict_below(self) -> tuple:
-        return tuple(m & ~(1 << i) for i, m in enumerate(self.below))
-
-    @cached_property
-    def strict_above(self) -> tuple:
-        return tuple(m & ~(1 << i) for i, m in enumerate(self.above))
-
-    @cached_property
     def upper_cover_masks(self) -> tuple:
         """upper_cover_masks[i] = bitmask of the elements covering i: the
-        minimal elements of its strict up-set.  Each surviving candidate
-        strikes out everything strictly above it, so a struck candidate is
-        never visited; what is above it is already struck."""
-        sa = self.strict_above
+        minimal elements of its strict up-set.  Each surviving candidate j
+        strikes out its up-set without itself, ``above[j] ^ (1 << j)``, so a
+        struck candidate is never visited; what is above it is already
+        struck."""
+        above = self.above
         out = []
-        for up in sa:
-            cand = todo = up
+        for i, up in enumerate(above):
+            cand = todo = up ^ (1 << i)
             while todo:
                 low = todo & -todo
-                cand &= ~sa[low.bit_length() - 1]
+                cand &= ~(above[low.bit_length() - 1] ^ low)
                 todo = (todo ^ low) & cand
             out.append(cand)
         return tuple(out)
@@ -824,7 +818,7 @@ def mobius(L: FiniteLattice, x: int, y: int) -> int:
         raise NotComparable(f"{x} is not below {y}")
     mu = {x: 1}
     # (x, y] by down-set size, so every z comes after the elements below it
-    rest = L.strict_above[x] & L.below[y]
+    rest = (L.above[x] ^ (1 << x)) & L.below[y]
     for z in sorted(_bits(rest), key=lambda z: L.below[z].bit_count()):
         s = 0
         for w in _bits(L.below[z] & L.above[x] & ~(1 << z)):
@@ -841,14 +835,14 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
     # by down-set size, so every chain is an increasing tuple of local indices
-    members = L.strict_above[lo] & L.strict_below[hi]
+    members = L.above[lo] & L.below[hi] & ~(1 << lo | 1 << hi)
     elems = sorted(_bits(members), key=lambda z: L.below[z].bit_count())
     k = len(elems)
     index_of = {e: i for i, e in enumerate(elems)}
     local_above = []
     for e in elems:
         m = 0
-        for f in _bits(L.strict_above[e] & members):
+        for f in _bits((L.above[e] & members) ^ (1 << e)):
             m |= 1 << index_of[f]
         local_above.append(m)
     faces_by_dim = {-1: [()]}

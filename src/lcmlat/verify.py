@@ -17,9 +17,9 @@ from .errors import BadParameter, BadTheoremId, ContractViolation
 from .fields import DEFAULT_PRIME, FieldSpec
 from .graphs import (
     Graph,
-    _class_masks,
     check_graph_theorems,
     complete,
+    connected_class_masks,
     connected_graph_masks,
     cycle,
     edge_ideal,
@@ -207,7 +207,8 @@ def _sweep_graphs(max_n: int, jobs: int):
     pool, and each worker builds its graphs."""
     graphs = []
     for n in range(2, max_n + 1):
-        masks = connected_graph_masks(n) if n <= _LABELED_MAX_N else _class_masks(n)
+        labeled = n <= _LABELED_MAX_N
+        masks = connected_graph_masks(n) if labeled else connected_class_masks(n)
         graphs.extend((n, m) for m in masks)
     if jobs > 1:
         with Pool(jobs) as pool:
@@ -255,16 +256,6 @@ def fixture_lattices() -> dict:
 
 def _chain(n: int) -> FiniteLattice:
     return lattice_from_covers(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def modular_fixture_lattices() -> dict:
-    pool = fixture_lattices()
-    names = [f"M{n}" for n in range(3, 9)]
-    names += [f"S({q},{r})" for q, r in _SUBSPACE_PARAMS]
-    out = {name: pool[name] for name in names}
-    out["M3 x M4"] = product(pool["M3"], pool["M4"])
-    out["M3 x S(2,3)"] = product(pool["M3"], pool["S(2,3)"])
-    return out
 
 
 def _ideal_ce(name, ideal, detail):
@@ -355,9 +346,16 @@ def _run_phan_roundtrip(seed, count, field):
 
 
 def _run_modular_cm(seed, count, field):
-    pool = modular_fixture_lattices()
+    fixtures = fixture_lattices()
+    names = [f"M{n}" for n in range(3, 9)]
+    names += [f"S({q},{r})" for q, r in _SUBSPACE_PARAMS]
+    pool = [(name, fixtures[name]) for name in names]
+    pool += [
+        ("M3 x M4", product(fixtures["M3"], fixtures["M4"])),
+        ("M3 x S(2,3)", product(fixtures["M3"], fixtures["S(2,3)"])),
+    ]
     found = []
-    for name, L in pool.items():
+    for name, L in pool:
         if not is_modular(L)[0]:
             found.append({"instance": name, "detail": "fixture not modular"})
             continue
@@ -526,9 +524,10 @@ def betti_oracle_check(count=200, seed=0):
     the pd bounds are checked along the way.  Not a catalog case: used by
     the acceptance suite."""
     res = VerificationResult("betti-oracle", count)
+    fields = (FieldSpec(2), FieldSpec(DEFAULT_PRIME))
     for name, ideal in _seeded(seed, count, (5, 8, 3)):
         L = lcm_lattice(ideal)
-        for fs in (FieldSpec(2), FieldSpec(DEFAULT_PRIME)):
+        for fs in fields:
             mine = lattice_betti_table(L, fs)
             if mine.multigraded != taylor_betti(ideal, fs):
                 res.counterexamples.append(

@@ -11,8 +11,8 @@ from lcmlat.graphs import (
     check_graph_theorems,
     complemented_via_independent_sets,
     complete,
+    connected_class_masks,
     connected_graph_masks,
-    connected_nonisomorphic_graphs,
     cycle,
     edge_ideal,
     edge_ideal_lattice,
@@ -127,7 +127,9 @@ def test_clique_with_unique_attachment_against_networkx():
         for n in range(2, 6)
         for mask in connected_graph_masks(n)
     ]
-    graphs += connected_nonisomorphic_graphs(6) + connected_nonisomorphic_graphs(7)
+    graphs += [
+        graph_from_mask(n, mask) for n in (6, 7) for mask in connected_class_masks(n)
+    ]
     verdicts = [has_clique_with_unique_attachment(G) for G in graphs]
     assert verdicts == [_clique_with_pendants_nx(G) for G in graphs]
     assert (len(graphs), sum(verdicts)) == (1736, 234)
@@ -308,7 +310,7 @@ def _comparability_connected(L):
     comparable = [b | a for b, a in zip(L.below, L.above)]
     for m, mask in enumerate(L.sets):
         if m != L.bottom and mask.bit_count() >= 4:
-            members = L.strict_above[L.bottom] & L.strict_below[m]
+            members = L.above[L.bottom] & L.below[m] & ~(1 << L.bottom | 1 << m)
             if _reach(comparable, members & -members, members) != members:
                 return False
     return True
@@ -409,7 +411,7 @@ def test_connected_classes_match_graph_atlas():
 
     atlas = nx.graph_atlas_g()
     for n in range(2, 8):
-        classes = connected_nonisomorphic_graphs(n)
+        classes = [graph_from_mask(n, mask) for mask in connected_class_masks(n)]
         expected = sum(
             1 for g in atlas if g.number_of_nodes() == n and nx.is_connected(g)
         )

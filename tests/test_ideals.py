@@ -79,6 +79,8 @@ def test_minimalize_matches_the_pairwise_definition():
 def test_minimalize_errors():
     with pytest.raises(UnitGenerator):
         minimalize([mono(0, 0)])
+    with pytest.raises(UnitGenerator, match="^1 is not allowed as a generator$"):
+        minimalize([mono(0, 0), mono(1, 0)])
     with pytest.raises(EmptyGeneratorSet):
         minimalize([])
     with pytest.raises(UnitGenerator):

@@ -19,8 +19,8 @@ from lcmlat.fields import FieldSpec
 from lcmlat.homology import SparseColumns, reduced_homology_ranks, sparse_rank
 from lcmlat.graphs import (
     complete,
+    connected_class_masks,
     connected_graph_masks,
-    connected_nonisomorphic_graphs,
     cycle,
     edge_ideal,
     edge_ideal_lattice,
@@ -230,7 +230,8 @@ def test_dense_six_vertex_graphs_agree_on_both_routes():
     # the 9 connected 6-vertex classes with 12-15 edges, K6 included: the
     # largest Taylor complexes (up to 2^15 subsets) tier-1 builds, over
     # GF(2) and GF(32003), and K6 over QQ as well
-    dense = [G for G in connected_nonisomorphic_graphs(6) if len(G.edges) >= 12]
+    classes = [graph_from_mask(6, mask) for mask in connected_class_masks(6)]
+    dense = [G for G in classes if len(G.edges) >= 12]
     assert len(dense) == 9 and max(len(G.edges) for G in dense) == 15
     for G in dense:
         I = edge_ideal(G)

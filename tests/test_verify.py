@@ -4,7 +4,7 @@ import pytest
 
 from lcmlat.errors import BadTheoremId
 from lcmlat.formats import dumps_json, ideal_to_json
-from lcmlat.graphs import _class_masks
+from lcmlat.graphs import connected_class_masks
 from lcmlat.verify import (
     CATALOG,
     GRAPH_CASES,
@@ -54,7 +54,7 @@ def test_seeded_pool_is_pinned():
 
 
 def test_every_seven_vertex_class_satisfies_the_characterizations():
-    masks = _class_masks(7)
+    masks = connected_class_masks(7)
     assert len(masks) == 853
     for mask in masks:
         assert _graph_violations(7, mask) == [], mask
