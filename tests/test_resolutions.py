@@ -62,6 +62,33 @@ def test_fano_betti_table():
     assert is_pure(FANO_IDEAL) == (True, (0, 4, 6, 7))
 
 
+def test_multigraded_betti_tables_are_pinned():
+    # sha256 over every multigraded table below, each entry as
+    # ((i, exponents), rank) in sorted order, on the default route and over
+    # GF(2), GF(3) and QQ
+    import hashlib
+
+    lattices = [
+        lcm_lattice(edge_ideal(cycle(8))),
+        lcm_lattice(edge_ideal(path(10))),
+        lcm_lattice(edge_ideal(complete(7))),
+        lcm_lattice(edge_ideal(graph_fixture("fig6"))),
+        lcm_lattice(FANO_IDEAL),
+        lcm_lattice(phan_ideal(subspace_lattice(2, 3))),
+    ]
+    tables = [
+        sorted(
+            ((i, m.exps), r)
+            for (i, m), r in lattice_betti_table(L, field).multigraded.items()
+        )
+        for L in lattices
+        for field in (None, FieldSpec(2), FieldSpec(3), FieldSpec(0))
+    ]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "dfb90bc9809884c07e4c8cf175cefd513dc096ffcac0ce679d4599b7347d0bfe"
+    )
+
+
 def test_betti_row_one_per_generator():
     I = ideal((1, 1, 0, 2), (0, 1, 1, 0), (2, 0, 1, 0))
     t = betti_table(I)
