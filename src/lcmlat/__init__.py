@@ -4,6 +4,7 @@ characterizations for edge ideals, and a verification harness that checks
 every implemented theorem on exhaustively enumerated instances."""
 
 from .errors import (
+    ArityMismatch,
     BadParameter,
     BadTheoremId,
     ContractViolation,
@@ -11,11 +12,13 @@ from .errors import (
     EmptyGeneratorSet,
     FormatError,
     LcmLatError,
+    MissingLabels,
     NoEdges,
     NotALattice,
     NotAtomic,
     NotBounded,
     NotComparable,
+    NotMinimal,
     ResourceLimit,
     TheoremViolation,
     TooLarge,

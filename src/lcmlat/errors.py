@@ -29,6 +29,18 @@ class EmptyGeneratorSet(LcmLatError):
     """An ideal needs at least one generator."""
 
 
+class ArityMismatch(LcmLatError, ValueError):
+    """A generator has a different number of variables than its ideal."""
+
+
+class NotMinimal(LcmLatError, ValueError):
+    """One generator of an ideal divides another; ``minimalize`` drops it."""
+
+
+class MissingLabels(LcmLatError, ValueError):
+    """A Betti number or pd was asked of a lattice without monomial labels."""
+
+
 class NotAtomic(LcmLatError):
     """The lattice is not atomic (required e.g. by the Phan construction)."""
 

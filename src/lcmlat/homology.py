@@ -2,9 +2,13 @@
 
 Boundary matrices use the reduced convention: the empty face is a genuine
 (-1)-dimensional face, so d = 0 carries the augmentation.  Ranks are computed
-exactly, either over GF(p) or fraction-free over the rationals; the default
-entry point runs GF(32003) and confirms small instances against the rational
-answer.
+exactly by column reduction, either over GF(p), with each owner column
+stored unscaled, or fraction-free over the rationals; the default entry
+point runs GF(32003) and confirms small instances against the rational
+answer.  The homology ranks are read off boundary matrices with clearing
+(Chen & Kerber, *Persistent homology computation with a twist*, 2011): a
+d-face that is the last facet of a (d+1)-face gets no column, since its
+boundary lies in the span of the columns kept.
 """
 
 from __future__ import annotations
@@ -86,7 +90,13 @@ def boundary_matrix(K: SimplicialComplexData, d: int) -> SparseColumns:
     augmentation onto the empty face."""
     if d < 0:
         raise ValueError("boundary matrices start at dimension 0")
-    rows = K.faces_by_dim.get(d - 1, [])
+    faces = K.faces_by_dim
+    return _boundary_columns(faces.get(d - 1, []), faces.get(d, []), d)
+
+
+def _boundary_columns(rows: list, faces: list, d: int) -> SparseColumns:
+    """The boundary map from the given d-faces onto every (d-1)-face in
+    ``rows``, one column per face."""
     row_index = {f: i for i, f in enumerate(rows)}
     # Every column has exactly d + 1 entries.  combinations(f, d) lists the
     # (d-1)-faces of f with its k-th vertex dropped for k = d, ..., 0, and
@@ -94,7 +104,7 @@ def boundary_matrix(K: SimplicialComplexData, d: int) -> SparseColumns:
     signs = [1 if k % 2 == 0 else -1 for k in range(d, -1, -1)]
     columns = [
         dict(zip(map(row_index.__getitem__, combinations(f, d)), signs))
-        for f in K.faces_by_dim.get(d, [])
+        for f in faces
     ]
     return SparseColumns(len(rows), columns)
 
@@ -109,9 +119,11 @@ def sparse_rank(mat: SparseColumns, field: FieldSpec) -> int:
     lowest row is looked up among the pivots of the columns already reduced:
     if no column owns that row, the column becomes its owner, otherwise the
     right multiple of the owner is subtracted.  The rank is the number of
-    owners.  Over GF(p) entries are kept mod p and every owner is scaled to
-    pivot 1; over the rationals the arithmetic stays in the integers, as
-    ``b*col - a*owner`` followed by division by the content.
+    owners.  Over GF(p) entries are kept mod p and an owner is stored
+    unscaled: the multiple, its pivot's inverse times the column's entry,
+    is computed only when a column is reduced against it.  Over the
+    rationals the arithmetic stays in the integers, as ``b*col - a*owner``
+    followed by division by the content.
     """
     p = field.characteristic
     owner = {}
@@ -123,13 +135,12 @@ def sparse_rank(mat: SparseColumns, field: FieldSpec) -> int:
             low = max(col)
             piv = owner.get(low)
             if piv is None:
-                if p:
-                    inv = pow(col[low], p - 2, p)
-                    col = {r: v * inv % p for r, v in col.items()}
                 owner[low] = col
                 break
             a = col[low]
-            if not p:
+            if p:
+                a = a * pow(piv[low], -1, p) % p
+            else:
                 b = piv[low]
                 # the sign of b goes into g, so the scale b ends up positive
                 # and, for boundary matrices, nearly always 1
@@ -164,8 +175,21 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     dimension of K has fewer than ``CHAR0_CONFIRM_COLUMNS`` faces, confirmed
     over the rationals; a mismatch is reported as a warning and the rational
     answer wins.
+
+    Both fields reduce the same cleared matrices.  A d-face sigma that is
+    the last facet tau[1:] of a (d+1)-face tau gets no column: since the
+    boundary of the boundary of tau is 0, the boundary of sigma is, up to
+    sign, the sum of the boundaries of the other facets of tau, and each of
+    them is lexicographically smaller than sigma, as tau[0] < sigma[0].  By
+    induction on that order every cleared column lies in the span of the
+    kept ones, over every field, so no rank changes.
     """
-    boundaries = [boundary_matrix(K, d) for d in range(K.dim + 1)]
+    faces = K.faces_by_dim
+    boundaries = []
+    for d in range(K.dim + 1):
+        cleared = {tau[1:] for tau in faces.get(d + 1, ())}
+        kept = [f for f in faces[d] if f not in cleared]
+        boundaries.append(_boundary_columns(faces[d - 1], kept, d))
     if field is not None:
         return _homology_ranks(boundaries, field)
     fast = _homology_ranks(boundaries, _FAST_FIELD)
@@ -183,13 +207,19 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
 
 
 def _homology_ranks(boundaries, field: FieldSpec):
-    """Reduced homology ranks {d: rank} for d = -1 .. dim, from the boundary
-    matrices of the dimensions 0 .. dim."""
+    """Reduced homology ranks {d: rank} for d = -1 .. dim, from the cleared
+    boundary matrices of the dimensions 0 .. dim."""
     # rank[d + 1] is the rank of the boundary map out of dimension d; the
     # maps out of dimensions -1 and dim + 1 are zero
     rank = [0] + [sparse_rank(mat, field) for mat in boundaries] + [0]
-    # one empty face, then the columns of each boundary matrix
-    faces = [1] + [mat.shape[1] for mat in boundaries]
+    # clearing drops columns, never rows, so the map out of dimension d has
+    # a row per (d-1)-face; no top face is cleared, so the last map has a
+    # column per top face
+    faces = (
+        [mat.nrows for mat in boundaries] + [boundaries[-1].shape[1]]
+        if boundaries
+        else [1]
+    )
     return {
         d: faces[d + 1] - rank[d + 1] - rank[d + 2]
         for d in range(-1, len(boundaries))

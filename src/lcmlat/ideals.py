@@ -7,7 +7,15 @@ import operator
 from dataclasses import dataclass, field
 from functools import partial
 
-from .errors import EmptyGeneratorSet, NotALattice, NotAtomic, TooLarge, UnitGenerator
+from .errors import (
+    ArityMismatch,
+    EmptyGeneratorSet,
+    NotALattice,
+    NotAtomic,
+    NotMinimal,
+    TooLarge,
+    UnitGenerator,
+)
 from .lattice import (
     MAX_ELEMENTS,
     FiniteLattice,
@@ -95,13 +103,13 @@ class MonomialIdeal:
             raise EmptyGeneratorSet("an ideal needs at least one generator")
         for g in self.gens:
             if g.nvars != self.nvars:
-                raise ValueError("generator arity mismatch")
+                raise ArityMismatch("generator arity mismatch")
             if g.is_unit:
                 raise UnitGenerator("1 is not allowed as a generator")
         masks, offsets = _polarization(self.gens)
         for (a, ma), (b, mb) in itertools.permutations(zip(self.gens, masks), 2):
             if not ma & ~mb:
-                raise ValueError(f"generators not minimal: {a} divides {b}")
+                raise NotMinimal(f"generators not minimal: {a} divides {b}")
         object.__setattr__(self, "_polarized", (tuple(masks), tuple(offsets)))
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ContractViolation
+from .errors import ContractViolation, MissingLabels
 from .fields import FieldSpec
 from .homology import reduced_homology_ranks
 from .ideals import MonomialIdeal, Monomial, ideal_height, lcm_lattice
@@ -88,7 +88,7 @@ def lattice_betti_table(
     """Betti numbers from a labeled LCM lattice: the entry at (i, m) is the
     rank of reduced homology in dimension i-2 of the open interval below m."""
     if L.labels is None:
-        raise ValueError("lattice must carry monomial labels")
+        raise MissingLabels("lattice must carry monomial labels")
     multigraded = {(0, L.labels[L.bottom]): 1}
     for m in range(L.n):
         if m == L.bottom:
@@ -121,7 +121,7 @@ def _pd_visit(L: FiniteLattice, field: FieldSpec | None):
     """(pd, ranks of the top interval) by the visit of :func:`lattice_pd`;
     the ranks are None when the visit stopped before the top."""
     if not L.has_labels:
-        raise ValueError("lattice must carry monomial labels")
+        raise MissingLabels("lattice must carry monomial labels")
     bounds = _vanishing_bounds(L)
     pd, top = 0, None
     for m in sorted(range(L.n), key=bounds.__getitem__, reverse=True):

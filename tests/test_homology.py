@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -168,10 +170,61 @@ def test_homology_vanishes_above_chain_bound(lattice_pool):
         assert all(r == 0 for d, r in ranks.items() if d > bound)
 
 
-def test_full_simplex_is_acyclic():
-    K = complex_from_facets(range(4), [range(4)])
-    ranks = reduced_homology_ranks(K, FieldSpec(2))
-    assert all(r == 0 for r in ranks.values())
+def test_full_simplex_is_acyclic(monkeypatch):
+    # every d-face without vertex 0 is the last facet of the face with 0
+    # added, so it is cleared: the rank sees the C(k - 1, d) d-faces that
+    # hold vertex 0, with a row for every (d-1)-face
+    seen = []
+    real = hm.sparse_rank
+
+    def spy(mat, field):
+        seen.append(mat.shape)
+        return real(mat, field)
+
+    monkeypatch.setattr(hm, "sparse_rank", spy)
+    for k in range(1, 7):
+        seen.clear()
+        K = complex_from_facets(range(k), [range(k)])
+        ranks = reduced_homology_ranks(K, FieldSpec(2))
+        assert all(r == 0 for r in ranks.values()), k
+        assert seen == [(comb(k, d), comb(k - 1, d)) for d in range(k)], k
+
+
+def _uncleared_ranks(K, field):
+    """Reduced homology ranks from every column of every boundary matrix."""
+    rank = [0] + [
+        sparse_rank(boundary_matrix(K, d), field) for d in range(K.dim + 1)
+    ] + [0]
+    return {d: K.n_faces(d) - rank[d + 1] - rank[d + 2] for d in range(-1, K.dim + 1)}
+
+
+def test_clearing_keeps_every_rank():
+    # seeded random complexes and every crosscut complex of L(C8): the
+    # cleared ranks equal the ranks of the full boundary matrices
+    from lcmlat.graphs import cycle, edge_ideal
+    from lcmlat.ideals import lcm_lattice
+    from lcmlat.lattice import crosscut_complex
+
+    rng = random.Random(5)
+    complexes = []
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        facets = [
+            rng.sample(range(n), rng.randint(1, min(n, 4)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        complexes.append(complex_from_facets(range(n), facets))
+    rp2 = [[v - 1 for v in f] for f in RP2_FACETS]
+    complexes.append(complex_from_facets(range(6), rp2))
+    L = lcm_lattice(edge_ideal(cycle(8)))
+    complexes += [crosscut_complex(L, L.bottom, m) for m in range(L.n) if m != L.bottom]
+    for K in complexes:
+        K.validate()
+        for char in (2, 3, 32003, 0):
+            field = FieldSpec(char)
+            assert reduced_homology_ranks(K, field) == _uncleared_ranks(K, field), (
+                char, K.faces_by_dim,
+            )
 
 
 def test_sparse_rank_matches_numpy():

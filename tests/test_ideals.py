@@ -8,9 +8,12 @@ from functools import reduce
 import pytest
 
 from lcmlat.errors import (
+    ArityMismatch,
     EmptyGeneratorSet,
+    LcmLatError,
     NotALattice,
     NotAtomic,
+    NotMinimal,
     TooLarge,
     UnitGenerator,
 )
@@ -85,6 +88,17 @@ def test_minimalize_errors():
         minimalize([])
     with pytest.raises(UnitGenerator):
         MonomialIdeal(2, (mono(0, 0),))
+    # refused inside the package's error contract, and still a ValueError
+    # for callers that catch one
+    for build, error in [
+        (lambda: minimalize([mono(1, 0, 0)], nvars=2), ArityMismatch),
+        (lambda: MonomialIdeal(2, (mono(1, 0), mono(0, 1, 0))), ArityMismatch),
+        (lambda: MonomialIdeal(2, (mono(1, 0), mono(2, 1))), NotMinimal),
+    ]:
+        with pytest.raises(error) as caught:
+            build()
+        assert isinstance(caught.value, LcmLatError)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_lcm_lattice_small():

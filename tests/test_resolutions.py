@@ -5,7 +5,7 @@ import random
 import pytest
 
 import lcmlat.resolutions as res
-from lcmlat.errors import ContractViolation, ResourceLimit
+from lcmlat.errors import ContractViolation, LcmLatError, MissingLabels, ResourceLimit
 from lcmlat.fields import FieldSpec
 from lcmlat.ideals import Monomial, lcm_lattice, minimalize, phan_ideal
 from lcmlat.constructions import fano_lattice, graphic_matroid_ideal, subspace_lattice
@@ -257,8 +257,14 @@ def test_lattice_pd_equals_the_table_pd(pd_lattices, char):
     field = None if char is None else FieldSpec(char)
     for L in pd_lattices:
         assert lattice_pd(L, field) == lattice_betti_table(L, field).pd, L.labels[L.top]
-    with pytest.raises(ValueError, match="labels"):
-        lattice_pd(lattice_from_covers(2, [(0, 1)]))
+    # refused inside the package's error contract, and still a ValueError
+    # for callers that catch one
+    unlabeled = lattice_from_covers(2, [(0, 1)])
+    for route in (lattice_pd, lattice_betti_table):
+        with pytest.raises(MissingLabels, match="labels") as caught:
+            route(unlabeled)
+        assert isinstance(caught.value, LcmLatError)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_lattice_pd_leaves_the_labels_undecoded():
