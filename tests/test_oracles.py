@@ -525,15 +525,22 @@ def test_isomorphism_against_networkx_digraph_matcher(lattice_pool):
         assert is_isomorphic(FiniteLattice.from_below_masks(shuffled), L)
 
 
-def test_permutation_equality_against_networkx_bipartite_matcher():
-    # two squarefree ideals agree up to a variable permutation exactly when
-    # their variable-generator incidence graphs are isomorphic with the
-    # sides kept apart
-    import random
-
+def test_minimal_ideal_against_phan_and_networkx_bipartite_matcher(lattice_pool):
+    # the definition itself: squarefree, and equal up to a renaming of the
+    # variables to the Phan ideal of its own LCM lattice, which holds when the
+    # variable-generator incidence graphs are isomorphic with the sides kept
+    # apart
     import networkx as nx
 
-    from lcmlat.ideals import Monomial, MonomialIdeal, ideals_permutation_equal, minimalize
+    from lcmlat.ideals import (
+        MonomialIdeal,
+        is_minimal_ideal,
+        minimalize,
+        phan_ideal,
+        polarize,
+    )
+    from lcmlat.lattice import is_atomic
+    from lcmlat.verify import random_ideal
 
     def incidence(I):
         g = nx.Graph()
@@ -544,30 +551,53 @@ def test_permutation_equality_against_networkx_bipartite_matcher():
         )
         return g
 
-    def random_squarefree(rng, nvars):
+    side = nx.algorithms.isomorphism.categorical_node_match("side", None)
+
+    def reference(I):
+        if not I.is_squarefree:
+            return False
+        P = phan_ideal(lcm_lattice(I))
+        return nx.is_isomorphic(incidence(I), incidence(P), node_match=side)
+
+    def from_columns(cols, rows):
+        """The ideal whose generator j has exponent cols[v][j] in variable v,
+        generators taken in the order rows."""
+        return MonomialIdeal(len(cols), tuple(
+            Monomial(tuple(c[j] for c in cols)) for j in rows
+        ))
+
+    def variants(I, rng):
+        """I with its variables and generators shuffled, and that again with
+        an idle variable and with a twin of one variable."""
+        cols = [[g.exps[v] for g in I.gens] for v in range(I.nvars)]
+        cols = rng.sample(cols, len(cols))
+        rows = rng.sample(range(I.ngens), I.ngens)
+        twin = rng.choice(cols)
+        return [from_columns(c, rows) for c in (cols, cols + [[0] * I.ngens],
+                                                 cols + [twin])]
+
+    def clutter(rng, nvars):
         gens = []
         for _ in range(rng.randint(1, 6)):
             support = rng.sample(range(nvars), rng.randint(1, nvars))
             gens.append(Monomial(tuple(int(v in support) for v in range(nvars))))
         return minimalize(gens, nvars)
 
-    def relabeled(I, rng):
-        perm = rng.sample(range(I.nvars), I.nvars)
-        return MonomialIdeal(I.nvars, tuple(
-            Monomial(tuple(m.exps[perm[v]] for v in range(I.nvars))) for m in I.gens
-        ))
-
-    side = nx.algorithms.isomorphism.categorical_node_match("side", None)
-    rng = random.Random(31)
-    agree = 0
-    for _ in range(150):
-        nvars = rng.randint(2, 6)
-        a = random_squarefree(rng, nvars)
-        for b in (relabeled(a, rng), random_squarefree(rng, nvars)):
-            expected = nx.is_isomorphic(incidence(a), incidence(b), node_match=side)
-            assert ideals_permutation_equal(a, b) == expected, (str(a), str(b))
-            agree += expected
-    assert 150 < agree < 300  # both verdicts occur
+    rng = random.Random(37)
+    pool = [random_ideal(rng, 5, 5, 3) for _ in range(150)]
+    pool += [polarize(I) for I in pool]
+    pool += [clutter(rng, rng.randint(2, 6)) for _ in range(150)]
+    for L in lattice_pool.values():
+        if L.n > 1 and is_atomic(L)[0]:
+            P = phan_ideal(L)
+            pool += [P, *variants(P, rng)]
+    pool.append(MonomialIdeal(1200, (Monomial((1,) * 1200),)))
+    minimal = 0
+    for I in pool:
+        expected = reference(I)
+        assert is_minimal_ideal(I) == expected, str(I)
+        minimal += expected
+    assert 0 < minimal < len(pool)  # both verdicts occur
 
 
 def test_find_isomorphism_on_graphs_against_networkx():
