@@ -21,6 +21,10 @@ class NotComparable(LcmLatError):
     """An interval operation was asked for an incomparable (or equal) pair."""
 
 
+class BadExponent(LcmLatError, ValueError):
+    """A monomial exponent is negative or not an integer."""
+
+
 class UnitGenerator(LcmLatError):
     """A monomial generator equal to 1 was supplied."""
 

@@ -9,6 +9,7 @@ from functools import partial
 
 from .errors import (
     ArityMismatch,
+    BadExponent,
     EmptyGeneratorSet,
     NotALattice,
     NotAtomic,
@@ -21,7 +22,6 @@ from .lattice import (
     FiniteLattice,
     _subsets,
     atoms,
-    find_isomorphism,
     is_atomic,
     lattice_of_sets,
     meet_irreducibles,
@@ -38,9 +38,9 @@ class Monomial:
         try:
             exps = tuple(map(operator.index, self.exps))
         except TypeError:
-            raise ValueError(f"exponents must be integers, got {self.exps!r}") from None
+            raise BadExponent(f"exponents must be integers, got {self.exps!r}") from None
         if exps and min(exps) < 0:
-            raise ValueError("exponents must be nonnegative")
+            raise BadExponent("exponents must be nonnegative")
         object.__setattr__(self, "exps", exps)
 
     @property
@@ -247,16 +247,9 @@ def phan_ideal(L: FiniteLattice) -> MonomialIdeal:
     ats = atoms(L)
     if not is_atomic(L)[0] or not ats:
         raise NotAtomic("the Phan construction needs an atomic lattice with atoms")
-    mi = meet_irreducibles(L)
-    nvars = len(mi)
-    gens = []
-    for b in ats:
-        exps = [0] * nvars
-        for v, m in enumerate(mi):
-            if not L.leq(b, m):
-                exps[v] = 1
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(nvars, tuple(gens))
+    downs = [L.below[m] for m in meet_irreducibles(L)]
+    gens = [Monomial(tuple(1 ^ (d >> b & 1) for d in downs)) for b in ats]
+    return MonomialIdeal(len(downs), tuple(gens))
 
 
 def ideal_height(ideal: MonomialIdeal) -> int:
@@ -294,33 +287,32 @@ def ideal_height(ideal: MonomialIdeal) -> int:
 
 def is_minimal_ideal(ideal: MonomialIdeal) -> bool:
     """True iff the ideal is squarefree and coincides, up to a permutation of
-    the variables, with the canonical ideal of its own LCM lattice."""
+    the variables, with the canonical (Phan) ideal of its own LCM lattice L.
+
+    Read off as: the sorted list of "generators lacking x_v", one entry per
+    variable v, equals the sorted list of "generators below m", one entry
+    per meet-irreducible m of L.  Phan's generator for atom b lacks x_m
+    exactly when b is below m, so equal lists pair the variables with the
+    meet-irreducibles under the natural generator-atom map.  Conversely, a
+    variable bijection onto the Phan ideal induces an automorphism of L,
+    which permutes the meet-irreducibles, so the lists are equal already
+    under the natural map.  An idle variable (every generator lacks it, but
+    only the top, never meet-irreducible, has every generator below it) and
+    a twin variable (a repeated entry, but distinct elements of L have
+    distinct generators below them) both make the lists differ.
+    """
     if not ideal.is_squarefree:
         return False
-    used = set()
-    for g in ideal.gens:
-        used.update(g.support())
-    if len(used) != ideal.nvars:
-        # the canonical ideal never has idle variables
-        return False
-    other = phan_ideal(lcm_lattice(ideal))
-    return ideals_permutation_equal(ideal, other)
-
-
-def ideals_permutation_equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """Whether some bijection of variables maps the generator set of ``a``
-    onto that of ``b`` (both squarefree)."""
-    if a.nvars != b.nvars or a.ngens != b.ngens:
-        return False
-    sides = [0] * a.nvars + [1] * a.ngens
-    return find_isomorphism(_incidence(a), _incidence(b), sides, sides) is not None
-
-
-def _incidence(ideal: MonomialIdeal) -> list:
-    """Out-neighbour bitmasks of the digraph with an edge from each variable
-    to each generator it divides; generator j is vertex nvars + j."""
-    out = [0] * (ideal.nvars + ideal.ngens)
-    for j, g in enumerate(ideal.gens):
-        for v in g.support():
-            out[v] |= 1 << (ideal.nvars + j)
-    return out
+    masks, offsets = ideal._polarized
+    L = lcm_lattice(ideal)
+    # squarefree: each variable in use owns one bit, an idle one none
+    lacking = [(1 << ideal.ngens) - 1] * (ideal.nvars - offsets[-1])
+    lacking += [
+        sum(1 << j for j, g in enumerate(masks) if not g >> bit & 1)
+        for bit in range(offsets[-1])
+    ]
+    below = [
+        sum(1 << j for j, g in enumerate(masks) if not g & ~L.sets[m])
+        for m in meet_irreducibles(L)
+    ]
+    return sorted(lacking) == sorted(below)
