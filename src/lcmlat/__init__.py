@@ -5,6 +5,7 @@ every implemented theorem on exhaustively enumerated instances."""
 
 from .errors import (
     ArityMismatch,
+    BadComplex,
     BadExponent,
     BadParameter,
     BadTheoremId,

@@ -25,6 +25,11 @@ class BadExponent(LcmLatError, ValueError):
     """A monomial exponent is negative or not an integer."""
 
 
+class BadComplex(LcmLatError, ValueError):
+    """A simplicial complex is malformed, or a boundary map was asked of a
+    dimension below 0."""
+
+
 class UnitGenerator(LcmLatError):
     """A monomial generator equal to 1 was supplied."""
 

@@ -1,24 +1,27 @@
 """Simplicial chain complexes and exact reduced-homology ranks.
 
-Boundary matrices use the reduced convention: the empty face is a genuine
-(-1)-dimensional face, so d = 0 carries the augmentation.  Ranks are computed
-exactly by column reduction, either over GF(p), with each owner column
-stored unscaled, or fraction-free over the rationals; the default entry
-point runs GF(32003) and confirms small instances against the rational
-answer.  The homology ranks are read off boundary matrices with clearing
-(Chen & Kerber, *Persistent homology computation with a twist*, 2011): a
-d-face that is the last facet of a (d+1)-face gets no column, since its
-boundary lies in the span of the columns kept.
+A face is an int vertex mask, bit i for the i-th vertex, so a facet is the
+face with one bit dropped, f ^ b.  Boundary matrices use the reduced
+convention: the empty face 0 is a genuine (-1)-dimensional face, so d = 0
+carries the augmentation.  Ranks are computed exactly by column reduction,
+either over GF(p), with each owner column stored unscaled, or fraction-free
+over the rationals; the default entry point runs GF(32003) and confirms
+small instances against the rational answer.  The homology ranks are read
+off boundary matrices with clearing (Chen & Kerber, *Persistent homology
+computation with a twist*, 2011): a d-face that is a (d+1)-face tau without
+its least vertex, tau & (tau - 1), gets no column, since its boundary lies
+in the span of the columns kept.  The augmentation is never reduced: its
+rank is 1 when the complex has a vertex and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
+from .errors import BadComplex
 from .fields import DEFAULT_PRIME, FieldSpec
 
 #: Confirm GF(p) ranks against characteristic 0 below this column count.
@@ -33,8 +36,9 @@ _EXACT_FIELD = FieldSpec(0)
 class SimplicialComplexData:
     """Faces of an abstract simplicial complex, grouped by dimension.
 
-    ``faces_by_dim[d]`` lists the d-faces as sorted tuples of vertex indices
-    local to ``vertices``; dimension -1 always holds the empty face.
+    A face is an int vertex mask: bit i stands for ``vertices[i]``.
+    ``faces_by_dim[d]`` lists the d-faces, the masks with d + 1 bits;
+    dimension -1 always holds the empty face ``0``.
     """
 
     vertices: tuple
@@ -42,7 +46,7 @@ class SimplicialComplexData:
 
     def __post_init__(self):
         if -1 not in self.faces_by_dim:
-            self.faces_by_dim[-1] = [()]
+            self.faces_by_dim[-1] = [0]
 
     @property
     def dim(self) -> int:
@@ -52,21 +56,29 @@ class SimplicialComplexData:
         return len(self.faces_by_dim.get(d, ()))
 
     def validate(self):
-        """Check the closure-under-subsets and sortedness invariants; raise
-        ``ValueError`` on the first violation."""
-        for d, faces in self.faces_by_dim.items():
-            if faces != sorted(set(faces)):
-                raise ValueError(f"faces in dim {d} unsorted")
-            for f in faces:
-                if len(f) != d + 1:
-                    raise ValueError(f"face {f} in dim {d} has {len(f)} vertices")
-                if list(f) != sorted(f):
-                    raise ValueError(f"face {f} in dim {d} unsorted")
-                if d >= 0:
-                    lower = self.faces_by_dim.get(d - 1, ())
-                    for k in range(len(f)):
-                        if f[:k] + f[k + 1 :] not in lower:
-                            raise ValueError("not subset-closed")
+        """Check that the faces of each dimension d are distinct masks of
+        d + 1 bits within ``vertices``, and that the faces are closed under
+        subsets, empty face included; raise ``BadComplex`` on the first
+        violation."""
+        n = len(self.vertices)
+        faces = self.faces_by_dim
+        if faces.get(-1) != [0]:
+            raise BadComplex("dimension -1 must hold the empty face 0 alone")
+        for d, fs in faces.items():
+            if len(set(fs)) != len(fs):
+                raise BadComplex(f"repeated face in dim {d}")
+            lower = set(faces.get(d - 1, ()))
+            for f in fs:
+                if not isinstance(f, int) or f < 0 or f >> n:
+                    raise BadComplex(f"face {f!r} in dim {d} is not a mask of {n} bits")
+                if f.bit_count() != d + 1:
+                    raise BadComplex(f"face {f:#b} in dim {d} has {f.bit_count()} bits")
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    if f ^ low not in lower:
+                        raise BadComplex(f"face {f:#b} lacks its facet {f ^ low:#b}")
+                    rest ^= low
 
 
 class SparseColumns(NamedTuple):
@@ -89,23 +101,28 @@ def boundary_matrix(K: SimplicialComplexData, d: int) -> SparseColumns:
     """Signed boundary map from d-faces to (d-1)-faces; d = 0 gives the
     augmentation onto the empty face."""
     if d < 0:
-        raise ValueError("boundary matrices start at dimension 0")
+        raise BadComplex("boundary matrices start at dimension 0")
     faces = K.faces_by_dim
-    return _boundary_columns(faces.get(d - 1, []), faces.get(d, []), d)
+    return _boundary_columns(faces.get(d - 1, []), faces.get(d, []))
 
 
-def _boundary_columns(rows: list, faces: list, d: int) -> SparseColumns:
-    """The boundary map from the given d-faces onto every (d-1)-face in
-    ``rows``, one column per face."""
+def _boundary_columns(rows: list, faces: list) -> SparseColumns:
+    """The boundary map from the given faces onto every face in ``rows``,
+    one column per face."""
     row_index = {f: i for i, f in enumerate(rows)}
-    # Every column has exactly d + 1 entries.  combinations(f, d) lists the
-    # (d-1)-faces of f with its k-th vertex dropped for k = d, ..., 0, and
-    # dropping the k-th vertex carries the sign (-1)^k.
-    signs = [1 if k % 2 == 0 else -1 for k in range(d, -1, -1)]
-    columns = [
-        dict(zip(map(row_index.__getitem__, combinations(f, d)), signs))
-        for f in faces
-    ]
+    # the facet f ^ b drops the bit b of f; dropping the k-th bit from the
+    # low end carries the sign (-1)^k
+    columns = []
+    for f in faces:
+        col = {}
+        sign = 1
+        rest = f
+        while rest:
+            low = rest & -rest
+            col[row_index[f ^ low]] = sign
+            sign = -sign
+            rest ^= low
+        columns.append(col)
     return SparseColumns(len(rows), columns)
 
 
@@ -177,25 +194,30 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     answer wins.
 
     Both fields reduce the same cleared matrices.  A d-face sigma that is
-    the last facet tau[1:] of a (d+1)-face tau gets no column: since the
-    boundary of the boundary of tau is 0, the boundary of sigma is, up to
-    sign, the sum of the boundaries of the other facets of tau, and each of
-    them is lexicographically smaller than sigma, as tau[0] < sigma[0].  By
-    induction on that order every cleared column lies in the span of the
-    kept ones, over every field, so no rank changes.
+    tau & (tau - 1), the (d+1)-face tau without its least vertex, gets no
+    column: since the boundary of the boundary of tau is 0, the boundary of
+    sigma is, up to sign, the sum of the boundaries of the other facets of
+    tau.  Each of them holds tau's least vertex, which lies below sigma's
+    least vertex, so by induction on the least vertex every cleared column
+    lies in the span of the kept ones, over every field, and no rank
+    changes.  The augmentation is never built: each of its columns is the
+    single entry 1 on the empty face, a unit in every field, so its rank is
+    1 when K has a vertex and 0 otherwise.
     """
     faces = K.faces_by_dim
+    counts = [K.n_faces(d) for d in range(-1, K.dim + 1)]
     boundaries = []
-    for d in range(K.dim + 1):
-        cleared = {tau[1:] for tau in faces.get(d + 1, ())}
+    for d in range(1, K.dim + 1):
+        cleared = {tau & (tau - 1) for tau in faces.get(d + 1, ())}
         kept = [f for f in faces[d] if f not in cleared]
-        boundaries.append(_boundary_columns(faces[d - 1], kept, d))
+        boundaries.append(_boundary_columns(faces[d - 1], kept))
+    chain = counts, boundaries
     if field is not None:
-        return _homology_ranks(boundaries, field)
-    fast = _homology_ranks(boundaries, _FAST_FIELD)
-    if max(K.n_faces(d) for d in K.faces_by_dim) >= CHAR0_CONFIRM_COLUMNS:
+        return _homology_ranks(chain, field)
+    fast = _homology_ranks(chain, _FAST_FIELD)
+    if max(counts) >= CHAR0_CONFIRM_COLUMNS:
         return fast
-    exact = _homology_ranks(boundaries, _EXACT_FIELD)
+    exact = _homology_ranks(chain, _EXACT_FIELD)
     if exact != fast:
         warnings.warn(
             f"homology ranks differ between GF({DEFAULT_PRIME}) and char 0: "
@@ -206,21 +228,18 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     return fast
 
 
-def _homology_ranks(boundaries, field: FieldSpec):
-    """Reduced homology ranks {d: rank} for d = -1 .. dim, from the cleared
-    boundary matrices of the dimensions 0 .. dim."""
-    # rank[d + 1] is the rank of the boundary map out of dimension d; the
-    # maps out of dimensions -1 and dim + 1 are zero
-    rank = [0] + [sparse_rank(mat, field) for mat in boundaries] + [0]
-    # clearing drops columns, never rows, so the map out of dimension d has
-    # a row per (d-1)-face; no top face is cleared, so the last map has a
-    # column per top face
-    faces = (
-        [mat.nrows for mat in boundaries] + [boundaries[-1].shape[1]]
-        if boundaries
-        else [1]
-    )
+def _homology_ranks(chain, field: FieldSpec):
+    """Reduced homology ranks {d: rank} for d = -1 .. dim, from the pair
+    (face counts of the dimensions -1 .. dim, cleared boundary matrices of
+    the dimensions 1 .. dim)."""
+    counts, boundaries = chain
+    # rank[d + 1] is the rank of the boundary map out of dimension d: the
+    # maps out of dimensions -1 and dim + 1 are zero, and the augmentation
+    # out of dimension 0 has rank 1 exactly when there is a vertex
+    has_vertex = len(counts) > 1 and counts[1] > 0
+    rank = [0, int(has_vertex)]
+    rank += [sparse_rank(mat, field) for mat in boundaries] + [0]
     return {
-        d: faces[d + 1] - rank[d + 1] - rank[d + 2]
-        for d in range(-1, len(boundaries))
+        d: counts[d + 1] - rank[d + 1] - rank[d + 2]
+        for d in range(-1, len(counts) - 1)
     }

@@ -831,10 +831,14 @@ def mobius(L: FiniteLattice, x: int, y: int) -> int:
 
 
 def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
-    """Order complex of {z : lo < z < hi}: all chains, empty face included."""
+    """Order complex of {z : lo < z < hi}: all chains, empty face included.
+
+    Its vertices are the elements of the open interval, by down-set size,
+    and a chain is the int mask of its elements' indices into ``vertices``.
+    """
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
-    # by down-set size, so every chain is an increasing tuple of local indices
+    # by down-set size, so a chain grows only by elements of larger index
     members = L.above[lo] & L.below[hi] & ~(1 << lo | 1 << hi)
     elems = sorted(_bits(members), key=lambda z: L.below[z].bit_count())
     k = len(elems)
@@ -845,15 +849,15 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
         for f in _bits((L.above[e] & members) ^ (1 << e)):
             m |= 1 << index_of[f]
         local_above.append(m)
-    faces_by_dim = {-1: [()]}
-    frontier = [((i,), local_above[i]) for i in range(k)]
+    faces_by_dim = {-1: [0]}
+    frontier = [(1 << i, local_above[i]) for i in range(k)]
     d = 0
     while frontier:
         faces_by_dim[d] = [c for c, _ in frontier]
         nxt = []
         for chain, ext in frontier:
             for j in _bits(ext):
-                nxt.append((chain + (j,), ext & local_above[j]))
+                nxt.append((chain | 1 << j, ext & local_above[j]))
         frontier = nxt
         d += 1
     return SimplicialComplexData(vertices=tuple(elems), faces_by_dim=faces_by_dim)
@@ -866,8 +870,9 @@ def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
     Its vertices are the atoms of [lo, hi] (the upper covers of lo below hi)
     and its faces the sets of atoms whose join is not hi; or, when there are
     fewer coatoms, the coatoms (the lower covers of hi above lo) and the sets
-    of them whose meet is not lo.  Faces are sorted tuples of indices into
-    ``vertices``, listed in sorted order, empty face included.
+    of them whose meet is not lo.  A face is the int mask of its vertices'
+    indices into ``vertices``; each dimension lists its faces in
+    lexicographic order of their sorted index tuples, empty face 0 included.
     """
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
@@ -879,18 +884,18 @@ def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
         verts, table, start, stop = list(_bits(atom_mask)), L.join, lo, hi
     k = len(verts)
     faces_by_dim = {}
-    # depth-first over increasing index tuples, each with the join (meet) of
-    # its vertices; children are pushed last index first, so faces come off
-    # the stack in lexicographic order
-    stack = [((), start)]
+    # depth-first over (mask, join (meet) of its vertices, least index that
+    # may still be added); children are pushed highest index first, so
+    # faces come off the stack in lexicographic order
+    stack = [(0, start, 0)]
     while stack:
-        face, value = stack.pop()
-        faces_by_dim.setdefault(len(face) - 1, []).append(face)
+        face, value, nxt = stack.pop()
+        faces_by_dim.setdefault(face.bit_count() - 1, []).append(face)
         row = table[value]
-        for i in range(k - 1, face[-1] if face else -1, -1):
+        for i in range(k - 1, nxt - 1, -1):
             w = row[verts[i]]
             if w != stop:
-                stack.append((face + (i,), w))
+                stack.append((face | 1 << i, w, i + 1))
     return SimplicialComplexData(vertices=tuple(verts), faces_by_dim=faces_by_dim)
 
 

@@ -6,25 +6,25 @@ from lcmlat.homology import SimplicialComplexData
 
 
 def complex_from_facets(vertices, facets) -> SimplicialComplexData:
-    """Subset-closure of the given facets."""
+    """Subset-closure of the given facets, each an iterable of indices into
+    ``vertices``; faces come out as vertex masks, sorted by value."""
     verts = tuple(vertices)
-    seen = {()}
-    for f in facets:
-        f = tuple(sorted(f))
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if g in seen:
-                continue
-            seen.add(g)
-            for k in range(len(g)):
-                stack.append(g[:k] + g[k + 1 :])
+    seen = {0}
+    stack = [sum(1 << i for i in set(f)) for f in facets]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        rest = g
+        while rest:
+            low = rest & -rest
+            stack.append(g ^ low)
+            rest ^= low
     faces = {}
-    for f in seen:
-        faces.setdefault(len(f) - 1, []).append(f)
-    return SimplicialComplexData(
-        vertices=verts, faces_by_dim={d: sorted(fs) for d, fs in faces.items()}
-    )
+    for f in sorted(seen):
+        faces.setdefault(f.bit_count() - 1, []).append(f)
+    return SimplicialComplexData(vertices=verts, faces_by_dim=faces)
 
 
 def euler_characteristic(K: SimplicialComplexData) -> int:

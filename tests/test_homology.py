@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lcmlat.homology as hm
-from lcmlat.errors import BadParameter
+from lcmlat.errors import BadComplex, BadParameter
 from lcmlat.fields import (
     PRIME_BASES,
     PSI_13,
@@ -107,13 +107,28 @@ def test_hollow_triangle_rank():
 
 
 def test_empty_face_only_complex():
-    K = SimplicialComplexData(vertices=(), faces_by_dim={-1: [()]})
+    K = SimplicialComplexData(vertices=(), faces_by_dim={-1: [0]})
     assert reduced_homology_ranks(K, FieldSpec(0)) == {-1: 1}
 
 
 def test_two_isolated_vertices():
     K = complex_from_facets((0, 1), [(0,), (1,)])
     assert reduced_homology_ranks(K, FieldSpec(0)) == {-1: 0, 0: 1}
+
+
+@pytest.mark.parametrize("char", [2, 3, 32003, 0, None])
+def test_augmentation_rank_is_read_off_the_vertices(char):
+    # the augmentation is never reduced: its rank is 1 exactly when there is
+    # a vertex, over every field
+    field = None if char is None else FieldSpec(char)
+    cases = [
+        (SimplicialComplexData(vertices=()), {-1: 1}),
+        (complex_from_facets((0,), [(0,)]), {-1: 0, 0: 0}),
+        (complex_from_facets((0, 1), [(0,), (1,)]), {-1: 0, 0: 1}),
+    ]
+    for K, expected in cases:
+        K.validate()
+        assert reduced_homology_ranks(K, field) == expected, K.faces_by_dim
 
 
 def test_fano_interval_homology():
@@ -171,9 +186,10 @@ def test_homology_vanishes_above_chain_bound(lattice_pool):
 
 
 def test_full_simplex_is_acyclic(monkeypatch):
-    # every d-face without vertex 0 is the last facet of the face with 0
-    # added, so it is cleared: the rank sees the C(k - 1, d) d-faces that
-    # hold vertex 0, with a row for every (d-1)-face
+    # every d-face without vertex 0 is the face with 0 added minus its least
+    # vertex, so it is cleared: the rank sees the C(k - 1, d) d-faces that
+    # hold vertex 0, with a row for every (d-1)-face; the augmentation,
+    # d = 0, is never reduced
     seen = []
     real = hm.sparse_rank
 
@@ -187,7 +203,7 @@ def test_full_simplex_is_acyclic(monkeypatch):
         K = complex_from_facets(range(k), [range(k)])
         ranks = reduced_homology_ranks(K, FieldSpec(2))
         assert all(r == 0 for r in ranks.values()), k
-        assert seen == [(comb(k, d), comb(k - 1, d)) for d in range(k)], k
+        assert seen == [(comb(k, d), comb(k - 1, d)) for d in range(1, k)], k
 
 
 def _uncleared_ranks(K, field):
@@ -359,17 +375,18 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_validate_raises_without_asserts():
-    # an unsorted dimension; the check must survive python -O, which strips
-    # assert statements
-    K = SimplicialComplexData((0, 1), {0: [(1,), (0,)], 1: [(1, 0)]})
-    with pytest.raises(ValueError, match="unsorted"):
+    # the edge {0, 1} without its facet {1}; the check must survive
+    # python -O, which strips assert statements
+    K = SimplicialComplexData((0, 1), {0: [0b01], 1: [0b11]})
+    with pytest.raises(BadComplex, match="lacks its facet 0b10"):
         K.validate()
     code = (
+        "from lcmlat.errors import BadComplex\n"
         "from lcmlat.homology import SimplicialComplexData as C\n"
-        "K = C((0, 1), {0: [(1,), (0,)], 1: [(1, 0)]})\n"
+        "K = C((0, 1), {0: [0b01], 1: [0b11]})\n"
         "try:\n"
         "    K.validate()\n"
-        "except ValueError:\n"
+        "except BadComplex:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(3)\n"
     )

@@ -290,7 +290,7 @@ def test_mobius_row_sums_vanish(lattice_pool, relabelled_pool):
 def test_open_interval_complexes():
     L = b2()
     K = open_interval_order_complex(L, L.bottom, 1)
-    assert K.faces_by_dim == {-1: [()]}
+    assert K.faces_by_dim == {-1: [0]}
     K2 = open_interval_order_complex(L, L.bottom, L.top)
     assert K2.n_faces(0) == 2 and K2.n_faces(1) == 0
     F = fano_lattice()
@@ -306,7 +306,7 @@ def test_open_interval_complexes():
 
 def test_order_complex_faces_are_sorted_on_relabelled_lattices(relabelled_pool):
     # element ids need not follow the order; the chains must still come out
-    # as increasing tuples, listed in sorted order
+    # as distinct masks, closed under subsets
     for L in relabelled_pool.values():
         if L.n >= 3:
             open_interval_order_complex(L, L.bottom, L.top).validate()

@@ -380,7 +380,7 @@ def test_crosscut_complex_takes_the_side_with_fewer_vertices():
     for M, side in ((L, coatoms(L)), (D, atoms(D))):
         K = crosscut_complex(M, M.bottom, M.top)
         assert K.vertices == tuple(side)
-        assert K.faces_by_dim == {-1: [()], 0: [(0,), (1,)]}
+        assert K.faces_by_dim == {-1: [0], 0: [0b01, 0b10]}
         assert _nonzero_homology(K) == {0: 1}
 
 

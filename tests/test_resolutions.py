@@ -62,13 +62,12 @@ def test_fano_betti_table():
     assert is_pure(FANO_IDEAL) == (True, (0, 4, 6, 7))
 
 
-def test_multigraded_betti_tables_are_pinned():
-    # sha256 over every multigraded table below, each entry as
-    # ((i, exponents), rank) in sorted order, on the default route and over
-    # GF(2), GF(3) and QQ
-    import hashlib
+#: The default route and the three fields the pinned tables are read over.
+PINNED_FIELDS = (None, FieldSpec(2), FieldSpec(3), FieldSpec(0))
 
-    lattices = [
+
+def _pinned_lattices() -> list:
+    return [
         lcm_lattice(edge_ideal(cycle(8))),
         lcm_lattice(edge_ideal(path(10))),
         lcm_lattice(edge_ideal(complete(7))),
@@ -76,17 +75,51 @@ def test_multigraded_betti_tables_are_pinned():
         lcm_lattice(FANO_IDEAL),
         lcm_lattice(phan_ideal(subspace_lattice(2, 3))),
     ]
+
+
+def test_multigraded_betti_tables_are_pinned():
+    # sha256 over every multigraded table below, each entry as
+    # ((i, exponents), rank) in sorted order, on the default route and over
+    # GF(2), GF(3) and QQ
+    import hashlib
+
     tables = [
         sorted(
             ((i, m.exps), r)
             for (i, m), r in lattice_betti_table(L, field).multigraded.items()
         )
-        for L in lattices
-        for field in (None, FieldSpec(2), FieldSpec(3), FieldSpec(0))
+        for L in _pinned_lattices()
+        for field in PINNED_FIELDS
     ]
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
         "dfb90bc9809884c07e4c8cf175cefd513dc096ffcac0ce679d4599b7347d0bfe"
     )
+
+
+def test_nonzero_interval_homology_needs_a_complemented_interval():
+    # Bjorner (JCTA 30, 1981): the proper part of a finite lattice that is
+    # not complemented is contractible, so (bottom, m) has homology only if
+    # [bottom, m] is complemented.  And if the lower covers of m meet above
+    # the bottom, every set of them is a face of the coatom crosscut, a full
+    # simplex, which is acyclic.
+    from functools import reduce
+
+    for L in _pinned_lattices():
+        for m in range(L.n):
+            if m == L.bottom or not any(
+                any(res._interval_ranks(L, m, field).values())
+                for field in PINNED_FIELDS
+            ):
+                continue
+            interval = [x for x in range(L.n) if L.leq(x, m)]
+            for x in interval:
+                assert any(
+                    L.meet[x][y] == L.bottom and L.join[x][y] == m
+                    for y in interval
+                ), (L.labels[m], L.labels[x])
+            lower = [x for x in interval if L.lower_cover_masks[m] >> x & 1]
+            meet = reduce(lambda x, y: L.meet[x][y], lower)
+            assert meet == L.bottom, L.labels[m]
 
 
 def test_betti_row_one_per_generator():
