@@ -1,9 +1,12 @@
 """Simplicial chain complexes and exact reduced-homology ranks.
 
 A face is an int vertex mask, bit i for the i-th vertex, so a facet is the
-face with one bit dropped, f ^ b.  Boundary matrices use the reduced
-convention: the empty face 0 is a genuine (-1)-dimensional face, so d = 0
-carries the augmentation.  Ranks are computed exactly by column reduction,
+face with one bit dropped, f ^ b.  One walk over the facets,
+``_boundary_columns``, builds every boundary matrix and is the facet check
+of ``validate``: a facet missing from the dimension below raises
+``BadComplex``.  Boundary matrices use the reduced convention: the empty
+face 0 is a genuine (-1)-dimensional face, so d = 0 carries the
+augmentation.  Ranks are computed exactly by column reduction,
 either over GF(p), with each owner column stored unscaled, or fraction-free
 over the rationals; the default entry point runs GF(32003) and confirms
 small instances against the rational answer.  The homology ranks are read
@@ -38,7 +41,9 @@ class SimplicialComplexData:
 
     A face is an int vertex mask: bit i stands for ``vertices[i]``.
     ``faces_by_dim[d]`` lists the d-faces, the masks with d + 1 bits;
-    dimension -1 always holds the empty face ``0``.
+    dimension -1 always holds the empty face ``0``.  When the given dict
+    lacks it, the complex keeps a copy with it added and the caller's dict
+    is left as it was.
     """
 
     vertices: tuple
@@ -46,7 +51,7 @@ class SimplicialComplexData:
 
     def __post_init__(self):
         if -1 not in self.faces_by_dim:
-            self.faces_by_dim[-1] = [0]
+            object.__setattr__(self, "faces_by_dim", {-1: [0], **self.faces_by_dim})
 
     @property
     def dim(self) -> int:
@@ -57,9 +62,10 @@ class SimplicialComplexData:
 
     def validate(self):
         """Check that the faces of each dimension d are distinct masks of
-        d + 1 bits within ``vertices``, and that the faces are closed under
-        subsets, empty face included; raise ``BadComplex`` on the first
-        violation."""
+        d + 1 bits within ``vertices``, with the empty face alone in
+        dimension -1, and walk every face's facets as ``boundary_matrix``
+        does, so a face that lacks one fails the same way; raise
+        ``BadComplex`` on the first violation."""
         n = len(self.vertices)
         faces = self.faces_by_dim
         if faces.get(-1) != [0]:
@@ -67,18 +73,13 @@ class SimplicialComplexData:
         for d, fs in faces.items():
             if len(set(fs)) != len(fs):
                 raise BadComplex(f"repeated face in dim {d}")
-            lower = set(faces.get(d - 1, ()))
             for f in fs:
                 if not isinstance(f, int) or f < 0 or f >> n:
                     raise BadComplex(f"face {f!r} in dim {d} is not a mask of {n} bits")
                 if f.bit_count() != d + 1:
                     raise BadComplex(f"face {f:#b} in dim {d} has {f.bit_count()} bits")
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    if f ^ low not in lower:
-                        raise BadComplex(f"face {f:#b} lacks its facet {f ^ low:#b}")
-                    rest ^= low
+            if d >= 0:
+                _boundary_columns(faces.get(d - 1, []), fs)
 
 
 class SparseColumns(NamedTuple):
@@ -108,21 +109,25 @@ def boundary_matrix(K: SimplicialComplexData, d: int) -> SparseColumns:
 
 def _boundary_columns(rows: list, faces: list) -> SparseColumns:
     """The boundary map from the given faces onto every face in ``rows``,
-    one column per face."""
+    one column per face.  This is the one walk over facets: a facet missing
+    from ``rows`` raises ``BadComplex``."""
     row_index = {f: i for i, f in enumerate(rows)}
     # the facet f ^ b drops the bit b of f; dropping the k-th bit from the
     # low end carries the sign (-1)^k
     columns = []
-    for f in faces:
-        col = {}
-        sign = 1
-        rest = f
-        while rest:
-            low = rest & -rest
-            col[row_index[f ^ low]] = sign
-            sign = -sign
-            rest ^= low
-        columns.append(col)
+    try:
+        for f in faces:
+            col = {}
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                col[row_index[f ^ low]] = sign
+                sign = -sign
+                rest ^= low
+            columns.append(col)
+    except KeyError as missing:
+        raise BadComplex(f"face {f:#b} lacks its facet {missing.args[0]:#b}") from None
     return SparseColumns(len(rows), columns)
 
 
@@ -203,14 +208,17 @@ def reduced_homology_ranks(K: SimplicialComplexData, field: FieldSpec | None = N
     changes.  The augmentation is never built: each of its columns is the
     single entry 1 on the empty face, a unit in every field, so its rank is
     1 when K has a vertex and 0 otherwise.
+
+    K is not validated: a dimension K skips counts as empty, and a kept face
+    whose facet is missing raises ``BadComplex`` from the facet walk.
     """
     faces = K.faces_by_dim
     counts = [K.n_faces(d) for d in range(-1, K.dim + 1)]
     boundaries = []
     for d in range(1, K.dim + 1):
         cleared = {tau & (tau - 1) for tau in faces.get(d + 1, ())}
-        kept = [f for f in faces[d] if f not in cleared]
-        boundaries.append(_boundary_columns(faces[d - 1], kept))
+        kept = [f for f in faces.get(d, ()) if f not in cleared]
+        boundaries.append(_boundary_columns(faces.get(d - 1, []), kept))
     chain = counts, boundaries
     if field is not None:
         return _homology_ranks(chain, field)

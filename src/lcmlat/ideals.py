@@ -155,13 +155,19 @@ def _polarization(gens):
     largest exponent d_v among them, owns the d_v bits from offsets[v], and
     the exponent e sets the low e of them.  lcm is then ``|`` and
     divisibility ``a & ~b == 0``.  Returns the masks and offsets, whose last
-    entry is the total bit count."""
+    entry is the total bit count.
+
+    Each mask is spelled as one binary string, read from the top, where
+    block v is d_v - e zeros and then e ones, so wide exponents cost time
+    linear in the total width rather than one shift of it per variable."""
     widths = [max(col) for col in zip(*(g.exps for g in gens))]
     offsets = list(itertools.accumulate(widths, initial=0))
-    masks = [
-        sum(((1 << e) - 1) << off for e, off in zip(g.exps, offsets))
-        for g in gens
-    ]
+    top = widths[::-1]
+    masks = []
+    for g in gens:
+        bits = "".join(["0" * (w - e) + "1" * e for w, e in zip(top, reversed(g.exps))])
+        # the string is empty when every width is 0
+        masks.append(int(bits or "0", 2))
     return masks, offsets
 
 
@@ -235,7 +241,7 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     first e slots; the result is squarefree with an isomorphic LCM lattice."""
     masks, offsets = ideal._polarized
     total = offsets[-1]
-    gens = [Monomial(tuple((m >> k) & 1 for k in range(total))) for m in masks]
+    gens = [Monomial(tuple(map(int, format(m, f"0{total}b")[::-1]))) for m in masks]
     return MonomialIdeal(total, tuple(gens))
 
 

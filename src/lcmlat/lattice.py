@@ -363,6 +363,11 @@ def _check_count(n: int) -> None:
         raise NotBounded(f"element count {n} out of range 1..{MAX_ELEMENTS}")
 
 
+def _check_elements(L: FiniteLattice, *ids) -> None:
+    if not 0 <= min(ids) <= max(ids) < L.n:
+        raise BadParameter(f"element ids {ids} out of range 0..{L.n - 1}")
+
+
 def _check_order(below) -> None:
     """Raise unless the down-set bitmasks in below (a list) are those of a
     partial order on 1..MAX_ELEMENTS elements, at the first element that
@@ -814,6 +819,7 @@ def property_report(L: FiniteLattice) -> PropertyReport:
 
 def mobius(L: FiniteLattice, x: int, y: int) -> int:
     """Moebius value of the closed interval [x, y]."""
+    _check_elements(L, x, y)
     if not L.leq(x, y):
         raise NotComparable(f"{x} is not below {y}")
     mu = {x: 1}
@@ -836,6 +842,7 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
     Its vertices are the elements of the open interval, by down-set size,
     and a chain is the int mask of its elements' indices into ``vertices``.
     """
+    _check_elements(L, lo, hi)
     if lo == hi or not L.leq(lo, hi):
         raise NotComparable(f"need lo < hi, got {lo}, {hi}")
     # by down-set size, so a chain grows only by elements of larger index
@@ -863,25 +870,26 @@ def open_interval_order_complex(L: FiniteLattice, lo: int, hi: int):
     return SimplicialComplexData(vertices=tuple(elems), faces_by_dim=faces_by_dim)
 
 
-def crosscut_complex(L: FiniteLattice, lo: int, hi: int):
-    """Crosscut complex of [lo, hi], homotopy equivalent to the order complex
-    of the open interval (lo, hi) by the crosscut theorem.
+def crosscut_complex(L: FiniteLattice, m: int):
+    """Crosscut complex of [bottom, m], homotopy equivalent to the order
+    complex of the open interval (bottom, m) by the crosscut theorem.
 
-    Its vertices are the atoms of [lo, hi] (the upper covers of lo below hi)
-    and its faces the sets of atoms whose join is not hi; or, when there are
-    fewer coatoms, the coatoms (the lower covers of hi above lo) and the sets
-    of them whose meet is not lo.  A face is the int mask of its vertices'
-    indices into ``vertices``; each dimension lists its faces in
-    lexicographic order of their sorted index tuples, empty face 0 included.
+    Its vertices are the atoms below m and its faces the sets of them whose
+    join is not m; or, when m has fewer lower covers than there are atoms
+    below it, the lower covers of m and the sets of them whose meet is not
+    the bottom.  A face is the int mask of its vertices' indices into
+    ``vertices``; each dimension lists its faces in lexicographic order of
+    their sorted index tuples, and dimension -1 holds the empty face 0.
     """
-    if lo == hi or not L.leq(lo, hi):
-        raise NotComparable(f"need lo < hi, got {lo}, {hi}")
-    atom_mask = L.upper_cover_masks[lo] & L.below[hi]
-    coatom_mask = L.lower_cover_masks[hi] & L.above[lo]
+    _check_elements(L, m)
+    if m == L.bottom:
+        raise NotComparable(f"need lo < hi, got {L.bottom}, {m}")
+    atom_mask = L.upper_cover_masks[L.bottom] & L.below[m]
+    coatom_mask = L.lower_cover_masks[m]
     if coatom_mask.bit_count() < atom_mask.bit_count():
-        verts, table, start, stop = list(_bits(coatom_mask)), L.meet, hi, lo
+        verts, table, start, stop = list(_bits(coatom_mask)), L.meet, m, L.bottom
     else:
-        verts, table, start, stop = list(_bits(atom_mask)), L.join, lo, hi
+        verts, table, start, stop = list(_bits(atom_mask)), L.join, L.bottom, m
     k = len(verts)
     faces_by_dim = {}
     # depth-first over (mask, join (meet) of its vertices, least index that

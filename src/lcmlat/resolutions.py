@@ -79,7 +79,7 @@ def _interval_ranks(L: FiniteLattice, m: int, field: FieldSpec | None) -> dict:
     """Reduced homology ranks {d: rank} of the open interval (bottom, m),
     computed on the crosscut complex of [bottom, m], which has the same
     homology: the entry of the Betti table at (d + 2, m)."""
-    return reduced_homology_ranks(crosscut_complex(L, L.bottom, m), field)
+    return reduced_homology_ranks(crosscut_complex(L, m), field)
 
 
 def lattice_betti_table(

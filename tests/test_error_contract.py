@@ -9,10 +9,17 @@ from hypothesis import strategies as st
 from lcmlat.errors import LcmLatError
 from lcmlat.fields import FieldSpec
 from lcmlat.formats import parse_ideal
-from lcmlat.graphs import graph_from_mask
-from lcmlat.homology import SimplicialComplexData, boundary_matrix
-from lcmlat.ideals import Monomial, MonomialIdeal, minimalize
-from lcmlat.lattice import MAX_ELEMENTS, FiniteLattice, lattice_from_covers
+from lcmlat.graphs import edge_ideal, graph_from_mask, path
+from lcmlat.homology import SimplicialComplexData, boundary_matrix, reduced_homology_ranks
+from lcmlat.ideals import Monomial, MonomialIdeal, lcm_lattice, minimalize
+from lcmlat.lattice import (
+    MAX_ELEMENTS,
+    FiniteLattice,
+    crosscut_complex,
+    lattice_from_covers,
+    mobius,
+    open_interval_order_complex,
+)
 
 from complexes import complex_from_facets
 
@@ -40,6 +47,18 @@ vertex_tuples = st.integers(0, 4).map(lambda n: tuple(range(n)))
 complexes = st.lists(
     st.lists(st.integers(0, 4), max_size=5), max_size=5
 ).map(lambda facets: complex_from_facets(range(5), facets))
+# unvalidated complexes of int faces, which need not be closed under subsets
+# nor have d + 1 bits in dimension d
+loose_complexes = st.builds(
+    SimplicialComplexData,
+    vertex_tuples,
+    st.dictionaries(
+        st.integers(-2, 4), st.lists(st.integers(-1, 1 << 5), max_size=6), max_size=4
+    ),
+)
+# element ids inside and outside L(P4) and the one-element lattice
+lattices = st.sampled_from([lcm_lattice(edge_ideal(path(4))), lattice_from_covers(1, [])])
+element_ids = st.integers(-3, 12)
 
 
 def validate_complex(vertices, faces_by_dim):
@@ -63,11 +82,15 @@ CALLS = st.one_of(
         text_ideals.map("\n".join) | json_ideals | st.text(max_size=20),
     ),
     st.tuples(st.just(validate_complex), vertex_tuples, faces_by_dim),
-    st.tuples(st.just(boundary_matrix), complexes, small),
+    st.tuples(st.just(boundary_matrix), complexes | loose_complexes, small),
+    st.tuples(st.just(reduced_homology_ranks), loose_complexes),
+    st.tuples(st.just(crosscut_complex), lattices, element_ids),
+    st.tuples(st.just(open_interval_order_complex), lattices, element_ids, element_ids),
+    st.tuples(st.just(mobius), lattices, element_ids, element_ids),
 )
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(derandomize=True, max_examples=900, deadline=None)
 @given(CALLS)
 def test_only_lcmlat_errors_escape_the_builders(call):
     builder, *args = call

@@ -233,7 +233,7 @@ def test_clearing_keeps_every_rank():
     rp2 = [[v - 1 for v in f] for f in RP2_FACETS]
     complexes.append(complex_from_facets(range(6), rp2))
     L = lcm_lattice(edge_ideal(cycle(8)))
-    complexes += [crosscut_complex(L, L.bottom, m) for m in range(L.n) if m != L.bottom]
+    complexes += [crosscut_complex(L, m) for m in range(L.n) if m != L.bottom]
     for K in complexes:
         K.validate()
         for char in (2, 3, 32003, 0):
@@ -392,6 +392,28 @@ def test_validate_raises_without_asserts():
     )
     proc = _fresh_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_route_raises_bad_complex_on_a_missing_facet():
+    # validate, boundary_matrix and reduced_homology_ranks share one facet
+    # walk, so an edge without its vertex {1}, or a triangle over a skipped
+    # dimension, fails in each with the same message
+    edge = SimplicialComplexData((0, 1), {0: [0b01], 1: [0b11]})
+    triangle = SimplicialComplexData((0, 1, 2), {0: [0b001, 0b010, 0b100], 2: [0b111]})
+    for K, d, facet in ((edge, 1, "0b10"), (triangle, 2, "0b110")):
+        for call in (K.validate, lambda: boundary_matrix(K, d), lambda: reduced_homology_ranks(K)):
+            with pytest.raises(BadComplex, match=f"lacks its facet {facet}$"):
+                call()
+
+
+def test_building_a_complex_leaves_the_callers_dict_alone():
+    faces = {0: [0b1]}
+    K = SimplicialComplexData((0,), faces)
+    assert faces == {0: [0b1]}
+    assert K.faces_by_dim == {-1: [0], 0: [0b1]}
+    # a dict that already holds the empty face is used as it is
+    whole = {-1: [0], 0: [0b1]}
+    assert SimplicialComplexData((0,), whole).faces_by_dim is whole
 
 
 def test_import_loads_no_numpy_or_scipy():

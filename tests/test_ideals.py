@@ -206,6 +206,41 @@ def test_ideal_pd_polarizes_twice(capsys, monkeypatch, tmp_path):
     assert J == I and hash(J) == hash(I) and "_polarized" not in repr(I)
 
 
+def test_polarization_masks_are_the_shift_sums():
+    # the masks are spelled as binary strings; the reference sums one
+    # shifted block of e low ones per variable, and polarize's bits are the
+    # reference's shifts, on seeded ideals, on wide ones and on units
+    from lcmlat.ideals import _polarization
+    from lcmlat.verify import _seeded
+
+    def shift_sums(gens):
+        widths = [max(col) for col in zip(*(g.exps for g in gens))]
+        offsets = list(itertools.accumulate(widths, initial=0))
+        masks = [
+            sum(((1 << e) - 1) << off for e, off in zip(g.exps, offsets))
+            for g in gens
+        ]
+        return masks, offsets
+
+    ideals = [
+        I
+        for seed, shape in enumerate(((5, 5, 3), (6, 6, 4), (4, 8, 3), (6, 8, 2)))
+        for _, I in _seeded(seed, 150, shape)
+    ]
+    ideals.append(ideal((1000,) * 50, (1001,) + (0,) * 49))
+    for I in ideals:
+        masks, offsets = shift_sums(I.gens)
+        assert _polarization(I.gens) == (masks, offsets), I
+        total = offsets[-1]
+        assert [g.exps for g in polarize(I).gens] == [
+            tuple((m >> k) & 1 for k in range(total)) for m in masks
+        ], I
+    wide = [mono(*(1000,) * 1000), mono(1001, *(0,) * 999)]
+    assert _polarization(wide) == shift_sums(wide)
+    for units in ([mono()], [mono(0, 0)], [mono(0, 0), mono(0, 1)]):
+        assert _polarization(units) == shift_sums(units)
+
+
 def test_polarize_preserves_lattice_with_high_powers():
     I = ideal((3, 1, 0), (1, 2, 1), (0, 0, 3))
     assert is_isomorphic(lcm_lattice(I), lcm_lattice(polarize(I)))

@@ -364,7 +364,7 @@ def test_crosscut_homology_matches_the_order_complex(lattice_pool, relabelled_po
         for m in range(L.n):
             if m == L.bottom:
                 continue
-            K = crosscut_complex(L, L.bottom, m)
+            K = crosscut_complex(L, m)
             K.validate()
             order = open_interval_order_complex(L, L.bottom, m)
             assert _nonzero_homology(K) == _nonzero_homology(order), (name, m)
@@ -378,7 +378,7 @@ def test_crosscut_complex_takes_the_side_with_fewer_vertices():
     D = dual(L)
     assert len(coatoms(L)) < len(atoms(L)) and len(atoms(D)) < len(coatoms(D))
     for M, side in ((L, coatoms(L)), (D, atoms(D))):
-        K = crosscut_complex(M, M.bottom, M.top)
+        K = crosscut_complex(M, M.top)
         assert K.vertices == tuple(side)
         assert K.faces_by_dim == {-1: [0], 0: [0b01, 0b10]}
         assert _nonzero_homology(K) == {0: 1}

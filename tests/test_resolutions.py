@@ -251,9 +251,9 @@ def test_pd_vs_height_builds_the_top_complex_once(monkeypatch):
     real = res.crosscut_complex
     tops = []
 
-    def spy(L, lo, hi):
-        tops.append((lo, hi) == (L.bottom, L.top))
-        return real(L, lo, hi)
+    def spy(L, m):
+        tops.append(m == L.top)
+        return real(L, m)
 
     monkeypatch.setattr(res, "crosscut_complex", spy)
     for G in (complete(4), cycle(5), path(4)):
