@@ -91,14 +91,19 @@ def _cmd_ideal(args) -> int:
     elif sub == "betti":
         table = betti_table(ideal, _field(args))
         obj = formats.betti_to_json(table)
-        text = table.render_text()
-        if args.multigraded:
-            lines = [
-                f"i={e['i']} j={e['j']} m={_mono_str(e['m'])} rank={e['rank']}"
-                for e in obj["entries"]
-            ]
-            text += "\n" + "\n".join(lines)
-        _emit(args, obj, text)
+        # the text table has a row per j - i up to the largest, so it is
+        # built only when it is printed
+        if args.json:
+            print(formats.dumps_json(obj))
+        else:
+            text = table.render_text()
+            if args.multigraded:
+                lines = [
+                    f"i={e['i']} j={e['j']} m={_mono_str(e['m'])} rank={e['rank']}"
+                    for e in obj["entries"]
+                ]
+                text += "\n" + "\n".join(lines)
+            print(text)
     elif sub == "pd":
         v = projective_dimension(ideal, _field(args))
         _emit(args, {"pd": v}, str(v))

@@ -18,11 +18,6 @@ from .lattice import (
 )
 
 
-def subspace_count(q: int, r: int) -> int:
-    """Total number of subspaces of F_q^r (sum of Gaussian binomials)."""
-    return sum(_gaussian_binomials(q, r))
-
-
 def _gaussian_binomials(q: int, r: int):
     """The number of k-dimensional subspaces of F_q^r, for k = 0..r."""
     for k in range(r + 1):

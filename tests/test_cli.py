@@ -24,6 +24,7 @@ from lcmlat.formats import (
 from lcmlat.constructions import fano_lattice
 from lcmlat.graphs import cycle, edge_ideal_lattice, graph_fixture
 from lcmlat.ideals import Monomial, minimalize
+from lcmlat.resolutions import BettiTable
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -316,6 +317,20 @@ def test_betti_multigraded_text(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, ["ideal", "betti", str(f), "--multigraded"])
     assert code == 0
     assert "i=2 j=3 m=x1*x2*x3 rank=1" in out
+
+
+def test_betti_json_builds_no_text_table(capsys, monkeypatch, tmp_path):
+    # the classic layout has a row per j - i, 8,000,001 of them on
+    # x1^1000*...*x8000^1000, x1^1001, so --json must not build it
+    def refuse(self):
+        raise AssertionError("render_text called under --json")
+
+    monkeypatch.setattr(BettiTable, "render_text", refuse)
+    f = tmp_path / "two.ideal"
+    f.write_text("x1*x2\nx2*x3\n")
+    code, out, _ = run(capsys, ["ideal", "betti", str(f), "--json", "--multigraded"])
+    assert code == 0
+    assert [(e["i"], e["j"]) for e in json.loads(out)["entries"]] == [(0, 0), (1, 2), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from lcmlat.constructions import (
     graphic_matroid_ideal,
     graphic_matroid_lattice,
     mn_lattice,
-    subspace_count,
     subspace_lattice,
 )
 from lcmlat.ideals import ideal_height, lcm_lattice, phan_ideal
@@ -41,6 +40,19 @@ def test_subspace_lattice_refuses_a_q_too_large_to_test():
     assert subspace_lattice(10_000_000_000_000_061, 1).n == 2
     with pytest.raises(BadParameter, match="primality"):
         subspace_lattice(3_317_044_064_679_887_385_961_981, 1)
+
+
+def subspace_count(q: int, r: int) -> int:
+    """Total number of subspaces of F_q^r: the sum over k of the Gaussian
+    binomial, (q^r - 1)...(q^r - q^(k-1)) / (q^k - 1)...(q^k - q^(k-1))."""
+    total = 0
+    for k in range(r + 1):
+        num = den = 1
+        for i in range(k):
+            num *= q**r - q**i
+            den *= q**k - q**i
+        total += num // den
+    return total
 
 
 def test_subspace_counts_and_grading():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from lcmlat.graphs import (
     graph_from_mask,
     star,
 )
-from lcmlat.ideals import Monomial, lcm_lattice
+from lcmlat.ideals import Monomial, MonomialIdeal, lcm_lattice
 from lcmlat.lattice import (
     atoms,
     coatoms,
@@ -282,6 +282,33 @@ def test_clearing_matches_the_taylor_complex_reduced_in_full():
         for char in (2, 3, 0):
             field = FieldSpec(char)
             assert taylor_betti(I, field) == _taylor_reference(I, field), (k, char, str(I))
+
+
+def test_critical_cells_match_the_taylor_complex_reduced_in_full():
+    # 9-11 distinct monomials of one degree (so an antichain) in 3-5
+    # variables, with exponents up to 4 and in random generator order.  The
+    # oracle keeps, per multidegree m, the subsets that hold the lowest
+    # generator g dividing m and lose m without it.  Some subset of lcm m
+    # must lack g, so that g is not just each subset's own lowest generator
+    rng = random.Random(23)
+    g_missing = 0
+    for k in range(12):
+        nvars, degree = 3 + k % 3, 4 - k % 2
+        pool = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+        gens = tuple(Monomial(e) for e in rng.sample(pool, 9 + k % 3))
+        I = MonomialIdeal(nvars, gens)
+        assert not I.is_squarefree
+        for size in range(2, I.ngens + 1):
+            for sigma in combinations(range(I.ngens), size):
+                m = gens[sigma[0]]
+                for t in sigma[1:]:
+                    m = m.lcm(gens[t])
+                g = next(t for t, gen in enumerate(gens) if gen.divides(m))
+                g_missing += g < sigma[0]
+        for char in (2, 32003, 0):
+            field = FieldSpec(char)
+            assert taylor_betti(I, field) == _taylor_reference(I, field), (k, char, str(I))
+    assert g_missing
 
 
 def test_taylor_oracle_imports_only_errors_fields_and_ideals():
